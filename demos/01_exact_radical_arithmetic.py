@@ -4,7 +4,7 @@
 
 from fractions import Fraction
 
-from epgate import RadicalSum, eval_complex, invert_monomial, squarefree_decompose
+from epgate import RadicalSum, invert_monomial, squarefree_decompose
 
 # Every radicand is reduced to its squarefree part on entry.
 print(squarefree_decompose(360))        # (10, 6): 360 = 6^2 * 10
@@ -34,4 +34,4 @@ print(invert_monomial(mono))            # -1/2*I * sqrt(2)
 print(mono * invert_monomial(mono))     # 1
 
 # A double-precision bridge exists for the numeric layer.
-print(eval_complex(value))              # 0.5 - 2.828...j
+print(complex(value))                   # 0.5 - 2.828...j

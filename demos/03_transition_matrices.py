@@ -9,12 +9,7 @@ from epgate import (
     ao_transition_inverse,
     pascal_matrix,
 )
-from epgate.models import (
-    ao_post_factor,
-    ao_pre_factor,
-    bh_post_factor,
-    bh_pre_factor,
-)
+from epgate.models import ModelId, transition_factors
 
 # Both families share the same combinatorial core: the binomial matrix with
 # rows of Pascal's triangle stacked upside down.
@@ -26,12 +21,14 @@ print()
 # transition matrix of the complex-symmetric family in closed form, at any
 # dimension.
 n = 6
-assert bh_transition(n) == bh_pre_factor(n) @ pascal_matrix(n) @ bh_post_factor(n)
+pre, post = transition_factors(n, ModelId.BH)
+assert bh_transition(n) == pre @ pascal_matrix(n) @ post
 print(bh_transition(n))
 print()
 
 # The real family uses the same skeleton without the complex phases.
-assert ao_transition(5) == ao_pre_factor(5) @ pascal_matrix(5) @ ao_post_factor(5)
+pre, post = transition_factors(5, ModelId.AO)
+assert ao_transition(5) == pre @ pascal_matrix(5) @ post
 print(ao_transition(5))
 print()
 

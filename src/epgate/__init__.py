@@ -13,7 +13,6 @@ from .radicals import (
     InvalidRadicand,
     MultiTermInverse,
     RadicalSum,
-    eval_complex,
     invert_monomial,
     squarefree_decompose,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "char_poly_tridiagonal",
     "condition_report",
     "degeneracy_scan",
-    "eval_complex",
     "find_roots",
     "hamiltonian_at",
     "intertwiner",

@@ -120,6 +120,8 @@ def _cmd_verify(args) -> int:
                       for c in args.checks.split(",") if c.strip()]
         except ValueError as exc:
             raise UsageError(str(exc))
+        if not checks:
+            raise UsageError(f"--checks {args.checks!r} names no check")
     reports = verify.run_suite(n_values, checks,
                                literal_zero_ep=args.literal_zero_ep)
     serialize.emit(reports, args.format, args.out)
@@ -146,7 +148,7 @@ def _cmd_spectrum(args) -> int:
                           f"{_equidistant_deviation(report)!r}")
             blocks.append(block)
         text = "\n\n".join(blocks)
-    _write(text, args.out)
+    serialize.write(text + "\n", args.out)
     return 0
 
 
@@ -172,14 +174,6 @@ def _cmd_condition(args) -> int:
     entries = spectra.condition_report(_parse_n_range(args.N))
     serialize.emit(entries, args.format, args.out)
     return 0
-
-
-def _write(text: str, destination) -> None:
-    if destination is None or destination == "-":
-        sys.stdout.write(text + "\n")
-    else:
-        with open(destination, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:

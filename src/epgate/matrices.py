@@ -146,19 +146,6 @@ class ExactMatrix:
             tuple(a - b for a, b in zip(ra, rb))
             for ra, rb in zip(self._rows, other._rows)))
 
-    def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix._raw(tuple(tuple(-e for e in r) for r in self._rows))
-
-    def __mul__(self, other) -> "ExactMatrix":
-        """Entrywise scaling by an exact scalar."""
-        if isinstance(other, (int, Fraction, GaussianRational, RadicalSum)):
-            s = RadicalSum.of(other)
-            return ExactMatrix._raw(tuple(
-                tuple(e * s for e in r) for r in self._rows))
-        return NotImplemented
-
-    __rmul__ = __mul__
-
     def __matmul__(self, other) -> "ExactMatrix":
         if not isinstance(other, ExactMatrix):
             return NotImplemented
@@ -287,9 +274,6 @@ class ExactMatrix:
         """Floating-point Frobenius norm of the exact matrix."""
         return sqrt(sum(abs(complex(e)) ** 2 for row in self._rows for e in row))
 
-    def to_complex(self) -> list[list[complex]]:
-        return [[complex(e) for e in row] for row in self._rows]
-
     # -- rendering -----------------------------------------------------------
 
     def __str__(self) -> str:
@@ -402,9 +386,6 @@ class ExactPolynomial:
     def to_complex_coefficients(self) -> list[complex]:
         """Degree-ascending double-precision mirror of the coefficients."""
         return [complex(c) for c in self._coeffs]
-
-    def __str__(self) -> str:
-        return " , ".join(str(c) for c in self._coeffs)
 
     def __repr__(self) -> str:
         return f"ExactPolynomial(degree={self.degree})"

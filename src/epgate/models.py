@@ -8,7 +8,8 @@ point at lambda = 0 -- together with the Jordan block, the binomial
 
 * ``bh_transition`` / ``ao_transition``: the matrices Q that carry each EP
   Hamiltonian to the nilpotent Jordan block, built as diagonal * pascal *
-  diagonal products,
+  diagonal products whose two diagonals, ``transition_factors(n, model)``,
+  differ between the models only by a phase (i for BH, 1 for AO),
 * ``intertwiner``: the upper-triangular matrix S with S @ H_BH(1) =
   H_AO(0) @ S, built as diagonal * core * diagonal with a real
   square-root-of-binomials core,
@@ -31,7 +32,6 @@ from .matrices import ExactMatrix, similarity
 from .radicals import GaussianRational, RadicalSum, invert_monomial
 
 _ZERO = RadicalSum()
-_I_UNIT = GaussianRational(0, 1)
 
 
 class DimensionError(ValueError):
@@ -79,18 +79,11 @@ class CouplingSchedule:
     def K(self) -> int:
         return self.N // 2
 
-    def damping(self, n: int, lam: Fraction) -> Fraction:
-        if not 1 <= n <= self.K:
-            raise DomainError(f"site index must lie in 1..{self.K}, got {n}")
+    def damping(self, lam: Fraction) -> Fraction:
         lam = _as_fraction(lam)
         if self.K == 1:
             return lam
         return sum((lam ** j for j in range(1, self.K)), Fraction(0))
-
-
-def coupling_damping(n: int, lam) -> Fraction:
-    """Site-independent damping for dimension N = n (module-level shortcut)."""
-    return CouplingSchedule(n).damping(1, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -126,13 +119,12 @@ def ao_hamiltonian(n: int, lam) -> ExactMatrix:
     lam = _as_fraction(lam)
     if lam < 0:
         raise DomainError(f"lambda must be >= 0, got {lam}")
-    schedule = CouplingSchedule(n)
+    damping = CouplingSchedule(n).damping(lam)
     rows = [[_ZERO] * n for _ in range(n)]
     for k in range(n):
         rows[k][k] = RadicalSum.of(Fraction(2 * k - n + 1))
     for k in range(1, n):
-        site = min(k, n - k)
-        radicand = k * (n - k) * (1 - schedule.damping(site, lam))
+        radicand = k * (n - k) * (1 - damping)
         if radicand <= 0:
             raise NonPositiveRadicand(
                 f"coupling radicand {radicand} at row pair ({k - 1},{k}); "
@@ -168,53 +160,40 @@ def pascal_matrix(n: int) -> ExactMatrix:
 # Transition matrices and their factorizations
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def bh_pre_factor(n: int) -> ExactMatrix:
-    """Diagonal i^k * sqrt(C(n-1, k)), k = 0..n-1."""
-    _check_dimension(n)
-    return ExactMatrix.diagonal(
-        RadicalSum.sqrt_int(comb(n - 1, k)) * RadicalSum.of(_I_UNIT ** k)
-        for k in range(n))
+# The phase omega of each model's transition factors.
+_PHASE = {ModelId.BH: GaussianRational(0, 1), ModelId.AO: GaussianRational(1)}
 
 
 @lru_cache(maxsize=None)
-def bh_post_factor(n: int) -> ExactMatrix:
-    """Diagonal (-i)^(n-1-k) * (n-1-k)!, k = 0..n-1."""
+def transition_factors(n: int, model: ModelId) -> tuple[ExactMatrix, ExactMatrix]:
+    """Diagonals (pre, post) with Q = pre @ pascal @ post: pre holds
+    omega^k * sqrt(C(n-1, k)) and post (-omega)^(n-1-k) * (n-1-k)!, k = 0..n-1,
+    with omega = i for the complex-symmetric model and 1 for the real one."""
     _check_dimension(n)
-    return ExactMatrix.diagonal(
-        RadicalSum.of((-_I_UNIT) ** (n - 1 - k) * factorial(n - 1 - k))
+    omega = _PHASE[model]
+    pre = ExactMatrix.diagonal(
+        RadicalSum.sqrt_int(comb(n - 1, k)) * RadicalSum.of(omega ** k)
         for k in range(n))
+    post = ExactMatrix.diagonal(
+        RadicalSum.of((-omega) ** (n - 1 - k) * factorial(n - 1 - k))
+        for k in range(n))
+    return pre, post
 
 
 @lru_cache(maxsize=None)
 def bh_transition(n: int) -> ExactMatrix:
     """Transition matrix of the complex-symmetric family at its z = 1
-    exceptional point: pre_factor @ pascal @ post_factor."""
-    return bh_pre_factor(n) @ pascal_matrix(n) @ bh_post_factor(n)
-
-
-@lru_cache(maxsize=None)
-def ao_pre_factor(n: int) -> ExactMatrix:
-    """Diagonal sqrt(C(n-1, k)), k = 0..n-1."""
-    _check_dimension(n)
-    return ExactMatrix.diagonal(
-        RadicalSum.sqrt_int(comb(n - 1, k)) for k in range(n))
-
-
-@lru_cache(maxsize=None)
-def ao_post_factor(n: int) -> ExactMatrix:
-    """Diagonal (-1)^(n-1-k) * (n-1-k)!, k = 0..n-1."""
-    _check_dimension(n)
-    return ExactMatrix.diagonal(
-        RadicalSum.of(Fraction((-1) ** (n - 1 - k) * factorial(n - 1 - k)))
-        for k in range(n))
+    exceptional point: pre @ pascal @ post."""
+    pre, post = transition_factors(n, ModelId.BH)
+    return pre @ pascal_matrix(n) @ post
 
 
 @lru_cache(maxsize=None)
 def ao_transition(n: int) -> ExactMatrix:
     """Transition matrix of the real asymmetric family at its lambda = 0
-    exceptional point: pre_factor @ pascal @ post_factor."""
-    return ao_pre_factor(n) @ pascal_matrix(n) @ ao_post_factor(n)
+    exceptional point: pre @ pascal @ post."""
+    pre, post = transition_factors(n, ModelId.AO)
+    return pre @ pascal_matrix(n) @ post
 
 
 # The complex unit of the intertwiner factor diagonals.
@@ -263,28 +242,33 @@ def _diagonal_inverse(d: ExactMatrix) -> ExactMatrix:
         invert_monomial(d[k, k]) for k in range(d.n_rows))
 
 
+def _factored_inverse(pre: ExactMatrix, core_inverse: ExactMatrix,
+                      post: ExactMatrix) -> ExactMatrix:
+    """Exact inverse of pre @ core @ post with diagonal pre and post:
+    post^-1 @ core^-1 @ pre^-1."""
+    return _diagonal_inverse(post) @ core_inverse @ _diagonal_inverse(pre)
+
+
 @lru_cache(maxsize=None)
 def bh_transition_inverse(n: int) -> ExactMatrix:
-    """Exact inverse through the factorization: post^-1 @ pascal^-1 @ pre^-1."""
-    return (_diagonal_inverse(bh_post_factor(n))
-            @ pascal_matrix(n).inverse_rational()
-            @ _diagonal_inverse(bh_pre_factor(n)))
+    """Exact inverse through the factorization."""
+    pre, post = transition_factors(n, ModelId.BH)
+    return _factored_inverse(pre, pascal_matrix(n).inverse_rational(), post)
 
 
 @lru_cache(maxsize=None)
 def ao_transition_inverse(n: int) -> ExactMatrix:
-    """Exact inverse through the factorization: post^-1 @ pascal^-1 @ pre^-1."""
-    return (_diagonal_inverse(ao_post_factor(n))
-            @ pascal_matrix(n).inverse_rational()
-            @ _diagonal_inverse(ao_pre_factor(n)))
+    """Exact inverse through the factorization."""
+    pre, post = transition_factors(n, ModelId.AO)
+    return _factored_inverse(pre, pascal_matrix(n).inverse_rational(), post)
 
 
 @lru_cache(maxsize=None)
 def intertwiner_inverse(n: int) -> ExactMatrix:
-    """Exact inverse through the factorization: post^-1 @ core^-1 @ pre^-1."""
-    return (_diagonal_inverse(intertwiner_post_factor(n))
-            @ intertwiner_core(n).inverse_upper_triangular()
-            @ _diagonal_inverse(intertwiner_pre_factor(n)))
+    """Exact inverse through the factorization."""
+    return _factored_inverse(intertwiner_pre_factor(n),
+                             intertwiner_core(n).inverse_upper_triangular(),
+                             intertwiner_post_factor(n))
 
 
 # ---------------------------------------------------------------------------

@@ -113,9 +113,6 @@ class GaussianRational:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "GaussianRational":
-        return self * _as_gaussian(other).reciprocal()
-
     def __pow__(self, k: int) -> "GaussianRational":
         if k < 0:
             return self.reciprocal() ** (-k)
@@ -127,9 +124,6 @@ class GaussianRational:
             base = base * base
             k >>= 1
         return out
-
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
 
     def reciprocal(self) -> "GaussianRational":
         norm = self.re * self.re + self.im * self.im
@@ -153,7 +147,6 @@ def _as_gaussian(x) -> GaussianRational:
 
 
 _GAUSS_ZERO = GaussianRational(0)
-_GAUSS_ONE = GaussianRational(1)
 
 
 class RadicalSum:
@@ -204,10 +197,6 @@ class RadicalSum:
         return cls._raw({1: g} if g else {})
 
     @classmethod
-    def rational(cls, num, den=1) -> "RadicalSum":
-        return cls.of(Fraction(num, den))
-
-    @classmethod
     def gaussian(cls, re, im) -> "RadicalSum":
         return cls.of(GaussianRational(_as_fraction(re), _as_fraction(im)))
 
@@ -236,11 +225,6 @@ class RadicalSum:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
-    @property
-    def is_gaussian_rational(self) -> bool:
-        """True when the value has no radical part (only radicand 1)."""
-        return not self._terms or set(self._terms) == {1}
-
     def as_gaussian(self) -> GaussianRational:
         """The value as a Gaussian rational; ValueError if radicals remain."""
         if not self._terms:
@@ -257,6 +241,12 @@ class RadicalSum:
         return NotImplemented
 
     def __hash__(self):
+        # consistent with __eq__ against int, Fraction and GaussianRational:
+        # a value without radicals hashes as its Gaussian rational
+        if not self._terms:
+            return 0
+        if self._terms.keys() == {1}:
+            return hash(self._terms[1])
         return hash(frozenset(self._terms.items()))
 
     # -- field operations ---------------------------------------------------
@@ -305,7 +295,7 @@ class RadicalSum:
             except TypeError:
                 return NotImplemented
         if not self._terms or not other._terms:
-            return _ZERO
+            return ZERO
         out: dict[int, GaussianRational] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
@@ -388,13 +378,6 @@ def invert_monomial(a: RadicalSum) -> RadicalSum:
     return RadicalSum._raw({m: (c * m).reciprocal()})
 
 
-def eval_complex(a: RadicalSum) -> complex:
-    """Double-precision value of the exact sum."""
-    return complex(a)
-
-
 ZERO = RadicalSum()
 ONE = RadicalSum.of(1)
 I = RadicalSum.gaussian(0, 1)
-
-_ZERO = ZERO

@@ -78,27 +78,41 @@ def _z_forward(t: Fraction) -> Fraction:
     return z
 
 
-def _z_backward(t: Fraction) -> Fraction:
-    return _z_forward(-t)
-
-
 def _lam_forward(t: Fraction) -> Fraction:
     if t < 0:
         raise DomainError(f"t = {t} gives a negative oscillator parameter")
     return t
 
 
-def _lam_backward(t: Fraction) -> Fraction:
-    return _lam_forward(-t)
-
-
-def _in_domain(build: Callable[[], ExactMatrix]) -> ExactMatrix:
+def _in_domain(build: Callable[..., ExactMatrix], *args) -> ExactMatrix:
     # the oscillator constructor rejects over-damped parameters on its own;
     # at scenario level that is a time outside the row's domain
     try:
-        return build()
+        return build(*args)
     except models.NonPositiveRadicand as exc:
         raise DomainError(str(exc)) from exc
+
+
+def _reversed(f: Callable) -> Callable:
+    """f run backwards in time: t -> f(-t)."""
+    return lambda t: f(-t)
+
+
+# Rows 1-3 as (interface matrix, complex-symmetric side, real asymmetric
+# side); rows 4-6 are built as their time reversals.  The interface takes
+# ``literal_zero_ep``, each side its model parameter.  Every entry looks its
+# constructor up in ``models`` when called, so a patched one is seen.
+_ROWS = {
+    1: (lambda n, literal: models.bh_hamiltonian(n, 0 if literal else 1),
+        lambda n, z: models.bh_hamiltonian(n, z),
+        lambda n, lam: models.ao_in_bh_frame(n, lam)),
+    2: (lambda n, literal: models.jordan_block(n, 0),
+        lambda n, z: models.bh_in_jordan_basis(n, z),
+        lambda n, lam: models.ao_in_jordan_basis(n, lam)),
+    3: (lambda n, literal: models.ao_hamiltonian(n, 0),
+        lambda n, z: models.bh_in_ao_frame(n, z),
+        lambda n, lam: models.ao_hamiltonian(n, lam)),
+}
 
 
 def scenario_path(row: int, n: int,
@@ -110,37 +124,17 @@ def scenario_path(row: int, n: int,
     of the interface tables); with it the matching identity fails by design.
     """
     _check_row(row)
-    if row == 1:
-        param = Parametrization("z", _z_forward, "lambda", _lam_forward)
-        ep = models.bh_hamiltonian(n, 0 if literal_zero_ep else 1)
-        left = lambda t: models.bh_hamiltonian(n, _z_forward(t))
-        right = lambda t: _in_domain(lambda: models.ao_in_bh_frame(n, _lam_forward(t)))
-    elif row == 2:
-        param = Parametrization("z", _z_forward, "lambda", _lam_forward)
-        ep = models.jordan_block(n, 0)
-        left = lambda t: models.bh_in_jordan_basis(n, _z_forward(t))
-        right = lambda t: _in_domain(lambda: models.ao_in_jordan_basis(n, _lam_forward(t)))
-    elif row == 3:
-        param = Parametrization("z", _z_forward, "lambda", _lam_forward)
-        ep = models.ao_hamiltonian(n, 0)
-        left = lambda t: models.bh_in_ao_frame(n, _z_forward(t))
-        right = lambda t: _in_domain(lambda: models.ao_hamiltonian(n, _lam_forward(t)))
-    elif row == 4:
-        param = Parametrization("lambda", _lam_backward, "z", _z_backward)
-        ep = models.ao_hamiltonian(n, 0)
-        left = lambda t: _in_domain(lambda: models.ao_hamiltonian(n, _lam_backward(t)))
-        right = lambda t: models.bh_in_ao_frame(n, _z_backward(t))
-    elif row == 5:
-        param = Parametrization("lambda", _lam_backward, "z", _z_backward)
-        ep = models.jordan_block(n, 0)
-        left = lambda t: _in_domain(lambda: models.ao_in_jordan_basis(n, _lam_backward(t)))
-        right = lambda t: models.bh_in_jordan_basis(n, _z_backward(t))
-    else:
-        param = Parametrization("lambda", _lam_backward, "z", _z_backward)
-        ep = models.bh_hamiltonian(n, 0 if literal_zero_ep else 1)
-        left = lambda t: _in_domain(lambda: models.ao_in_bh_frame(n, _lam_backward(t)))
-        right = lambda t: models.bh_hamiltonian(n, _z_backward(t))
-    return ScenarioPath(row=row, N=n, label=ROW_LABELS[row], ep_matrix=ep,
+    interface, bh_side, ao_side = _ROWS[min(row, 7 - row)]
+    param = Parametrization("z", _z_forward, "lambda", _lam_forward)
+    left = lambda t: bh_side(n, _z_forward(t))
+    right = lambda t: _in_domain(ao_side, n, _lam_forward(t))
+    if row > 3:
+        # row 7 - row run backwards: the sides swap and t becomes -t
+        param = Parametrization(param.right_name, _reversed(param.right),
+                                param.left_name, _reversed(param.left))
+        left, right = _reversed(right), _reversed(left)
+    return ScenarioPath(row=row, N=n, label=ROW_LABELS[row],
+                        ep_matrix=interface(n, literal_zero_ep),
                         left_family=left, right_family=right,
                         parametrization=param)
 
@@ -157,8 +151,7 @@ def hamiltonian_at(row: int, n: int, t) -> ExactMatrix:
     return path.ep_matrix
 
 
-def sample_path(row: int, n: int, t_values,
-                tol: float = 1e-10) -> list[PathSample]:
+def sample_path(row: int, n: int, t_values) -> list[PathSample]:
     """Sample a scenario at the given times: exact matrix, exact
     characteristic polynomial, and numeric roots per sample."""
     samples = []
@@ -167,7 +160,7 @@ def sample_path(row: int, n: int, t_values,
         matrix = hamiltonian_at(row, n, t)
         poly = matrix.char_poly()
         roots = spectra.find_roots(spectra.FloatPolynomial.from_exact(poly),
-                                   tol=tol)
+                                   tol=spectra.ROOT_TOL)
         samples.append(PathSample(t=t, matrix=matrix, char_poly=poly,
                                   roots=tuple(roots)))
     return samples

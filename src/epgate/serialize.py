@@ -149,7 +149,11 @@ def emit(value, fmt: str = "text", destination=None) -> None:
         payload = render_json(value)
     else:
         raise ValueError(f"unknown format {fmt!r}")
-    payload += "\n"
+    write(payload + "\n", destination)
+
+
+def write(payload: str, destination) -> None:
+    """Write text to a path, or to stdout when destination is None or "-"."""
     if destination is None or destination == "-":
         sys.stdout.write(payload)
     else:

@@ -32,6 +32,10 @@ from .models import DomainError, ModelId
 from .radicals import RadicalSum
 
 
+# Root-residual tolerance of the spectrum scans and scenario sampling.
+ROOT_TOL = 1e-10
+
+
 class ConvergenceError(RuntimeError):
     """Root iteration hit the cap; ``best`` holds the last iterate."""
 
@@ -157,10 +161,10 @@ def _sorted_roots(z: np.ndarray) -> list[complex]:
     return [complex(v) for v in z[order]]
 
 
-def _spectrum_report(n: int, model: ModelId, param: Fraction,
-                     tol: float) -> SpectrumReport:
+def _spectrum_report(n: int, model: ModelId,
+                     param: Fraction) -> SpectrumReport:
     exact = char_poly_tridiagonal(n, model, param)
-    roots = find_roots(FloatPolynomial.from_exact(exact), tol=tol)
+    roots = find_roots(FloatPolynomial.from_exact(exact), tol=ROOT_TOL)
     arr = np.array(roots)
     gaps = np.abs(arr[:, None] - arr[None, :])
     iu = np.triu_indices(len(roots), k=1)
@@ -171,20 +175,18 @@ def _spectrum_report(n: int, model: ModelId, param: Fraction,
         min_pair_gap=float(np.min(gaps[iu])))
 
 
-def reality_scan(n: int, model: ModelId, params,
-                 tol: float = 1e-10) -> list[SpectrumReport]:
+def reality_scan(n: int, model: ModelId, params) -> list[SpectrumReport]:
     """Spectrum reports over a parameter list inside the real-spectrum
     regime; reports come back ordered by parameter value."""
     fracs = sorted(Fraction(p) for p in params)
-    return [_spectrum_report(n, model, p, tol) for p in fracs]
+    return [_spectrum_report(n, model, p) for p in fracs]
 
 
-def degeneracy_scan(n: int, model: ModelId, params,
-                    tol: float = 1e-10) -> list[SpectrumReport]:
+def degeneracy_scan(n: int, model: ModelId, params) -> list[SpectrumReport]:
     """Spectrum reports along a parameter sequence approaching the
     exceptional point, in the order given; the max pairwise root gap is the
     quantity expected to shrink."""
-    return [_spectrum_report(n, model, Fraction(p), tol) for p in params]
+    return [_spectrum_report(n, model, Fraction(p)) for p in params]
 
 
 _FAMILIES = (

@@ -78,6 +78,11 @@ def _poly_residual(left: ExactPolynomial, right: ExactPolynomial) -> ExactMatrix
     return ExactMatrix([(left - right).coefficients])
 
 
+def _ep_params(model: ModelId) -> Params:
+    return ((models.ep_parameter_name(model),
+             models.ep_parameter_value(model)),)
+
+
 def check_ep_schrodinger(n: int, model: ModelId) -> VerificationReport:
     """H_EP @ Q == Q @ J(0), the generalized eigenvalue problem at the
     exceptional point, checked exactly."""
@@ -87,9 +92,7 @@ def check_ep_schrodinger(n: int, model: ModelId) -> VerificationReport:
     h = models.ep_hamiltonian(n, model)
     q = models.transition(n, model)
     j = models.jordan_block(n, 0)
-    params = ((models.ep_parameter_name(model),
-               models.ep_parameter_value(model)),)
-    return _report(check, n, params, started, (h @ q) - (q @ j))
+    return _report(check, n, _ep_params(model), started, (h @ q) - (q @ j))
 
 
 def check_jordanization(n: int, model: ModelId) -> VerificationReport:
@@ -101,9 +104,7 @@ def check_jordanization(n: int, model: ModelId) -> VerificationReport:
     q = models.transition(n, model)
     q_inv = models.transition_inverse(n, model)
     j = models.jordan_block(n, 0)
-    params = ((models.ep_parameter_name(model),
-               models.ep_parameter_value(model)),)
-    return _report(check, n, params, started, (q_inv @ h @ q) - j)
+    return _report(check, n, _ep_params(model), started, (q_inv @ h @ q) - j)
 
 
 def check_intertwiner_factorization(n: int) -> VerificationReport:
@@ -189,6 +190,32 @@ def check_ep_degeneracy(n: int, model: ModelId) -> VerificationReport:
 _DEFAULT_SIMILARITY_PARAMS = {ModelId.BH: Fraction(1, 2),
                               ModelId.AO: Fraction(1, 8)}
 
+# CheckId -> its reports at one N, given ``literal_zero_ep``.  Each entry
+# calls its check_* through this module's globals when run, so a wrapped or
+# patched check is the one that runs.
+_SUITE = {
+    CheckId.EP_SCHRODINGER_BH:
+        lambda n, lz: [check_ep_schrodinger(n, ModelId.BH)],
+    CheckId.EP_SCHRODINGER_AO:
+        lambda n, lz: [check_ep_schrodinger(n, ModelId.AO)],
+    CheckId.JORDANIZATION_BH:
+        lambda n, lz: [check_jordanization(n, ModelId.BH)],
+    CheckId.JORDANIZATION_AO:
+        lambda n, lz: [check_jordanization(n, ModelId.AO)],
+    CheckId.INTERTWINER_FACTORIZATION:
+        lambda n, lz: [check_intertwiner_factorization(n)],
+    CheckId.INTERTWINE: lambda n, lz: [check_intertwine(n)],
+    CheckId.SCENARIO_MATCHING: lambda n, lz: [
+        check_scenario_matching(n, row, literal_zero_ep=lz)
+        for row in range(1, 7)],
+    CheckId.CHARPOLY_SIMILARITY: lambda n, lz: [
+        check_charpoly_similarity(n, model, _DEFAULT_SIMILARITY_PARAMS[model],
+                                  frame)
+        for model in ModelId for frame in ("transition", "intertwiner")],
+    CheckId.EP_TOTAL_DEGENERACY: lambda n, lz: [
+        check_ep_degeneracy(n, model) for model in ModelId],
+}
+
 
 def run_suite(n_values, checks=None,
               literal_zero_ep: bool = False) -> list[VerificationReport]:
@@ -203,30 +230,7 @@ def run_suite(n_values, checks=None,
     reports: list[VerificationReport] = []
     for check in wanted:
         for n in n_list:
-            if check is CheckId.EP_SCHRODINGER_BH:
-                reports.append(check_ep_schrodinger(n, ModelId.BH))
-            elif check is CheckId.EP_SCHRODINGER_AO:
-                reports.append(check_ep_schrodinger(n, ModelId.AO))
-            elif check is CheckId.JORDANIZATION_BH:
-                reports.append(check_jordanization(n, ModelId.BH))
-            elif check is CheckId.JORDANIZATION_AO:
-                reports.append(check_jordanization(n, ModelId.AO))
-            elif check is CheckId.INTERTWINER_FACTORIZATION:
-                reports.append(check_intertwiner_factorization(n))
-            elif check is CheckId.INTERTWINE:
-                reports.append(check_intertwine(n))
-            elif check is CheckId.SCENARIO_MATCHING:
-                for row in range(1, 7):
-                    reports.append(check_scenario_matching(
-                        n, row, literal_zero_ep=literal_zero_ep))
-            elif check is CheckId.CHARPOLY_SIMILARITY:
-                for model in (ModelId.BH, ModelId.AO):
-                    for frame in ("transition", "intertwiner"):
-                        reports.append(check_charpoly_similarity(
-                            n, model, _DEFAULT_SIMILARITY_PARAMS[model], frame))
-            elif check is CheckId.EP_TOTAL_DEGENERACY:
-                for model in (ModelId.BH, ModelId.AO):
-                    reports.append(check_ep_degeneracy(n, model))
+            reports.extend(_SUITE[check](n, literal_zero_ep))
     order = {c: i for i, c in enumerate(CheckId)}
     reports.sort(key=lambda r: (order[r.check], r.N, r.parameters))
     return reports

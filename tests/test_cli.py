@@ -134,6 +134,16 @@ def test_verify_bad_check_name(capsys):
     assert code == 2
 
 
+def test_verify_empty_check_list_is_usage_error(capsys):
+    # a run that checks nothing must not report a pass
+    for checks in (",", ""):
+        code, out, err = run_cli(capsys, "verify", "--N", "3",
+                                 "--checks", checks)
+        assert code == 2
+        assert out == ""
+        assert "names no check" in err
+
+
 def test_verify_bad_range(capsys):
     code, _, _ = run_cli(capsys, "verify", "--N", "6..2")
     assert code == 2

@@ -104,13 +104,11 @@ def test_coupling_schedule():
     assert CouplingSchedule(7).K == 3
     # damping vanishes at the exceptional point for every dimension
     for n in range(2, 10):
-        assert CouplingSchedule(n).damping(1, Fraction(0)) == 0
+        assert CouplingSchedule(n).damping(Fraction(0)) == 0
     # K = 1 uses the linear damping; K = 3 the two-term sum
-    assert CouplingSchedule(2).damping(1, Fraction(1, 4)) == Fraction(1, 4)
-    assert CouplingSchedule(6).damping(2, Fraction(1, 4)) == \
+    assert CouplingSchedule(2).damping(Fraction(1, 4)) == Fraction(1, 4)
+    assert CouplingSchedule(6).damping(Fraction(1, 4)) == \
         Fraction(1, 4) + Fraction(1, 16)
-    with pytest.raises(DomainError):
-        CouplingSchedule(4).damping(3, Fraction(1, 4))
 
 
 # ---------------------------------------------------------------------------

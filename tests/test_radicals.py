@@ -14,7 +14,6 @@ from epgate.radicals import (
     I,
     ONE,
     ZERO,
-    eval_complex,
     invert_monomial,
     squarefree_decompose,
 )
@@ -133,7 +132,7 @@ def test_eval_reference_values():
     assert abs(complex(SQRT2) - math.sqrt(2)) <= 1e-15
     assert complex(RadicalSum.gaussian(-1, 1)) == complex(-1, 1)
     half_sqrt6 = RadicalSum({6: Fraction(1, 2)})
-    assert abs(eval_complex(half_sqrt6) - math.sqrt(6) / 2) <= 1e-15
+    assert abs(complex(half_sqrt6) - math.sqrt(6) / 2) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +153,14 @@ def test_constructor_canonicalizes_radicands():
     # 8 = 2^2 * 2, so sqrt(8) enters as 2*sqrt(2) and merges with sqrt(2)
     assert RadicalSum({8: 1}) + SQRT2 == RadicalSum({2: 3})
     assert RadicalSum({4: 1}) == RadicalSum.of(2)
+
+
+def test_hash_agrees_with_equality_across_types():
+    assert len({RadicalSum.of(1), 1, Fraction(1)}) == 1
+    i_unit = GaussianRational(0, 1)
+    assert len({RadicalSum.of(i_unit), i_unit}) == 1
+    assert len({RadicalSum(), 0, Fraction(0), GaussianRational(0)}) == 1
+    assert {RadicalSum.of(Fraction(1, 2)): "half"}[Fraction(1, 2)] == "half"
 
 
 def test_canonical_form_is_idempotent_and_clean():

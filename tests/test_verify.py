@@ -137,10 +137,12 @@ def test_fault_injection_intertwine(monkeypatch):
     _assert_detected(check_intertwine(4))
 
 
-def test_fault_injection_scenario_matching(monkeypatch):
+@pytest.mark.parametrize("row", [2, 5])
+def test_fault_injection_scenario_matching(monkeypatch, row):
+    # row 5 is built as the time reversal of row 2 and must see the patch too
     monkeypatch.setattr(models, "jordan_block",
                         perturb_constructor(models.jordan_block, where=(1, 0)))
-    _assert_detected(check_scenario_matching(3, 2))
+    _assert_detected(check_scenario_matching(3, row))
 
 
 def test_fault_injection_charpoly_similarity(monkeypatch):
@@ -191,10 +193,14 @@ def test_run_suite_empty_checks():
     assert run_suite(range(2, 5), checks=[]) == []
 
 
-def test_run_suite_single_check_count():
-    reports = run_suite(range(2, 13), checks=[CheckId.INTERTWINER_FACTORIZATION])
-    assert len(reports) == 11
-    assert all(r.passed for r in reports)
+# reports per N of each check, in CheckId order
+@pytest.mark.parametrize(
+    "check, per_n", zip(CheckId, [1, 1, 1, 1, 1, 1, 6, 4, 2]),
+    ids=lambda v: v.value if isinstance(v, CheckId) else str(v))
+def test_run_suite_single_check_count(check, per_n):
+    reports = run_suite(range(2, 13), checks=[check])
+    assert len(reports) == 11 * per_n
+    assert all(r.check is check and r.passed for r in reports)
 
 
 def test_run_suite_accepts_check_values():
