@@ -19,7 +19,6 @@ from .radicals import (
 from .matrices import (
     ExactMatrix,
     ExactPolynomial,
-    NotInverseError,
     ShapeError,
     SingularError,
     StructureError,
@@ -79,7 +78,6 @@ __all__ = [
     "ModelId",
     "MultiTermInverse",
     "NonPositiveRadicand",
-    "NotInverseError",
     "PathSample",
     "RadicalSum",
     "ScenarioPath",

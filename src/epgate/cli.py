@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import sqrt
 
 from . import models, scenarios, serialize, spectra, verify
-from .models import DimensionError, DomainError, ModelId, NonPositiveRadicand
+from .models import DimensionError, DomainError, ModelId
 
 
 class UsageError(ValueError):
@@ -261,11 +261,8 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
         return args.func(args)
-    except (UsageError, DomainError, DimensionError, NonPositiveRadicand,
-            spectra.ConvergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (UsageError, DomainError, DimensionError,
+            spectra.ConvergenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,12 +1,12 @@
 """Dense matrices and polynomials over the exact radical field.
 
 Everything here is exact: products, structural inverses, similarity
-transforms, and the Faddeev-LeVerrier characteristic polynomial.  The only
-floating-point bridge is the Frobenius norm.  Inversion is deliberately
-structural -- back substitution for triangular matrices with monomially
-invertible diagonals, Gauss-Jordan over Gaussian rationals for radical-free
-matrices -- because every inverse needed downstream decomposes into these
-cases; there is no elimination over general multi-term pivots.
+transforms by proven inverse pairs, and the Faddeev-LeVerrier characteristic
+polynomial.  The only floating-point bridge is the Frobenius norm.  Inversion
+is deliberately structural -- back substitution for triangular matrices with
+monomially invertible diagonals, Gauss-Jordan over Gaussian rationals for
+radical-free matrices -- because every inverse needed downstream decomposes
+into these cases; there is no elimination over general multi-term pivots.
 """
 
 from __future__ import annotations
@@ -37,10 +37,6 @@ class StructureError(ValueError):
 
 class SingularError(ValueError):
     """Exact inversion hit a non-invertible pivot."""
-
-
-class NotInverseError(ValueError):
-    """A claimed inverse failed the exact two-sided check."""
 
 
 class ExactMatrix:
@@ -286,17 +282,14 @@ class ExactMatrix:
 def similarity(h: ExactMatrix, q: ExactMatrix, q_inv: ExactMatrix) -> ExactMatrix:
     """Exact similarity transform q_inv @ h @ q.
 
-    The pair (q, q_inv) is required to be an exact two-sided inverse pair;
-    anything else raises NotInverseError rather than silently producing a
-    non-similar matrix.
+    (q, q_inv) must be an exact two-sided inverse pair; it is not re-proven
+    here.  The model pairs are proven by ``verify.check_jordanization``
+    (transition matrices) and ``verify.check_intertwiner_factorization``.
     """
     if not (h.is_square and q.is_square and q_inv.is_square):
         raise ShapeError("similarity needs square matrices")
     if not h.shape == q.shape == q_inv.shape:
         raise ShapeError("similarity needs matching sizes")
-    ident = ExactMatrix.identity(h.n_rows)
-    if q @ q_inv != ident or q_inv @ q != ident:
-        raise NotInverseError("q_inv is not an exact two-sided inverse of q")
     return q_inv @ h @ q
 
 

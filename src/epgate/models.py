@@ -38,12 +38,12 @@ class DimensionError(ValueError):
     """Matrix dimension below the model's minimum."""
 
 
-class NonPositiveRadicand(ValueError):
-    """A coupling radicand left the positive domain."""
-
-
 class DomainError(ValueError):
     """Parameter outside the model's exact domain."""
+
+
+class NonPositiveRadicand(DomainError):
+    """A coupling radicand left the positive domain."""
 
 
 class ModelId(Enum):

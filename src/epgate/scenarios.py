@@ -21,7 +21,7 @@ from typing import Callable
 
 from . import models, spectra
 from .matrices import ExactMatrix, ExactPolynomial
-from .models import DomainError
+from .models import DomainError, ModelId
 
 ROW_LABELS = {
     1: "BH to AO-like",
@@ -65,11 +65,6 @@ class PathSample:
     roots: tuple[complex, ...]
 
 
-def _check_row(row: int):
-    if row not in ROW_LABELS:
-        raise DomainError(f"scenario row must be 1..6, got {row}")
-
-
 def _z_forward(t: Fraction) -> Fraction:
     z = 1 + t
     if z < -1 or z > 1:
@@ -82,15 +77,6 @@ def _lam_forward(t: Fraction) -> Fraction:
     if t < 0:
         raise DomainError(f"t = {t} gives a negative oscillator parameter")
     return t
-
-
-def _in_domain(build: Callable[..., ExactMatrix], *args) -> ExactMatrix:
-    # the oscillator constructor rejects over-damped parameters on its own;
-    # at scenario level that is a time outside the row's domain
-    try:
-        return build(*args)
-    except models.NonPositiveRadicand as exc:
-        raise DomainError(str(exc)) from exc
 
 
 def _reversed(f: Callable) -> Callable:
@@ -123,11 +109,13 @@ def scenario_path(row: int, n: int,
     z = 0 member of the complex-symmetric family (the non-EP literal reading
     of the interface tables); with it the matching identity fails by design.
     """
-    _check_row(row)
+    if row not in ROW_LABELS:
+        raise DomainError(f"scenario row must be 1..6, got {row}")
+    models._check_dimension(n)
     interface, bh_side, ao_side = _ROWS[min(row, 7 - row)]
     param = Parametrization("z", _z_forward, "lambda", _lam_forward)
     left = lambda t: bh_side(n, _z_forward(t))
-    right = lambda t: _in_domain(ao_side, n, _lam_forward(t))
+    right = lambda t: ao_side(n, _lam_forward(t))
     if row > 3:
         # row 7 - row run backwards: the sides swap and t becomes -t
         param = Parametrization(param.right_name, _reversed(param.right),
@@ -153,12 +141,19 @@ def hamiltonian_at(row: int, n: int, t) -> ExactMatrix:
 
 def sample_path(row: int, n: int, t_values) -> list[PathSample]:
     """Sample a scenario at the given times: exact matrix, exact
-    characteristic polynomial, and numeric roots per sample."""
+    characteristic polynomial, and numeric roots per sample.
+
+    The polynomial is the tridiagonal recurrence of the family the sample is
+    similar to: the left side's for t <= 0, the right side's for t > 0."""
+    param = scenario_path(row, n).parametrization
     samples = []
     for t in t_values:
         t = Fraction(t)
         matrix = hamiltonian_at(row, n, t)
-        poly = matrix.char_poly()
+        name, side = ((param.left_name, param.left) if t <= 0
+                      else (param.right_name, param.right))
+        model = ModelId.BH if name == "z" else ModelId.AO
+        poly = spectra.char_poly_tridiagonal(n, model, side(t))
         roots = spectra.find_roots(spectra.FloatPolynomial.from_exact(poly),
                                    tol=spectra.ROOT_TOL)
         samples.append(PathSample(t=t, matrix=matrix, char_poly=poly,

@@ -8,7 +8,7 @@ Identical values yield byte-identical output, so golden tests can diff.
 
 Parsers invert the formats exactly: ``parse_scalar_text`` /
 ``parse_matrix_text`` for the text forms, ``from_jsonable`` / ``parse_json``
-for the JSON forms of scalars, matrices, polynomials, and reports.
+for the JSON form of every kind ``to_jsonable`` emits.
 """
 
 from __future__ import annotations
@@ -266,6 +266,11 @@ def from_jsonable(obj):
             max_imag=float(obj["max_imag"]),
             max_pair_gap=float(obj["max_pair_gap"]),
             min_pair_gap=float(obj["min_pair_gap"]))
+    if kind == "path-sample":
+        return PathSample(
+            t=Fraction(obj["t"]), matrix=from_jsonable(obj["matrix"]),
+            char_poly=from_jsonable(obj["char_poly"]),
+            roots=tuple(complex(re_, im_) for re_, im_ in obj["roots"]))
     if kind == "condition-entry":
         return ConditionEntry(N=int(obj["N"]), family=obj["family"],
                               kappa=float(obj["kappa"]))

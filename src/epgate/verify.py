@@ -96,7 +96,7 @@ def check_ep_schrodinger(n: int, model: ModelId) -> VerificationReport:
 
 
 def check_jordanization(n: int, model: ModelId) -> VerificationReport:
-    """Q^-1 @ H_EP @ Q == J(0), using the factorization inverses."""
+    """Q^-1 @ H_EP @ Q == J(0) and Q @ Q^-1 == Q^-1 @ Q == I, exactly."""
     started = time.perf_counter()
     check = (CheckId.JORDANIZATION_BH if model is ModelId.BH
              else CheckId.JORDANIZATION_AO)
@@ -104,19 +104,24 @@ def check_jordanization(n: int, model: ModelId) -> VerificationReport:
     q = models.transition(n, model)
     q_inv = models.transition_inverse(n, model)
     j = models.jordan_block(n, 0)
-    return _report(check, n, _ep_params(model), started, (q_inv @ h @ q) - j)
+    ident = ExactMatrix.identity(n)
+    return _report(check, n, _ep_params(model), started, (q_inv @ h @ q) - j,
+                   (q @ q_inv) - ident, (q_inv @ q) - ident)
 
 
 def check_intertwiner_factorization(n: int) -> VerificationReport:
     """The closed-form product diag @ core @ diag equals the transition-matrix
-    route ao_transition @ bh_transition^-1, exactly."""
+    route ao_transition @ bh_transition^-1, and S @ S^-1 == S^-1 @ S == I."""
     started = time.perf_counter()
     via_transitions = models.ao_transition(n) @ models.bh_transition_inverse(n)
     closed_form = (models.intertwiner_pre_factor(n)
                    @ models.intertwiner_core(n)
                    @ models.intertwiner_post_factor(n))
+    s, s_inv = models.intertwiner(n), models.intertwiner_inverse(n)
+    ident = ExactMatrix.identity(n)
     return _report(CheckId.INTERTWINER_FACTORIZATION, n, (), started,
-                   via_transitions - closed_form)
+                   via_transitions - closed_form,
+                   (s @ s_inv) - ident, (s_inv @ s) - ident)
 
 
 def check_intertwine(n: int) -> VerificationReport:
@@ -148,10 +153,19 @@ def check_scenario_matching(n: int, row: int,
                    left - path.ep_matrix, right - path.ep_matrix)
 
 
+# Family names, resolved on ``models`` per call so a patched one is checked.
+_SIMILARITY_FAMILIES = {
+    (ModelId.BH, "transition"): "bh_in_jordan_basis",
+    (ModelId.BH, "intertwiner"): "bh_in_ao_frame",
+    (ModelId.AO, "transition"): "ao_in_jordan_basis",
+    (ModelId.AO, "intertwiner"): "ao_in_bh_frame",
+}
+
+
 def check_charpoly_similarity(n: int, model: ModelId, param,
                               frame: str = "transition") -> VerificationReport:
-    """The similarity-transformed Hamiltonian has the same exact
-    characteristic polynomial as the original (Faddeev-LeVerrier both sides).
+    """The similarity-transformed Hamiltonian's dense (Faddeev-LeVerrier)
+    characteristic polynomial equals its family's tridiagonal recurrence.
 
     ``frame`` is "transition" (conjugation by the EP transition matrix) or
     "intertwiner" (conjugation by the intertwiner).
@@ -160,20 +174,13 @@ def check_charpoly_similarity(n: int, model: ModelId, param,
     param = Fraction(param)
     if frame not in ("transition", "intertwiner"):
         raise DomainError(f"unknown frame {frame!r}")
-    if model is ModelId.BH:
-        h = models.bh_hamiltonian(n, param)
-        transformed = (models.bh_in_jordan_basis(n, param)
-                       if frame == "transition"
-                       else models.bh_in_ao_frame(n, param))
-    else:
-        h = models.ao_hamiltonian(n, param)
-        transformed = (models.ao_in_jordan_basis(n, param)
-                       if frame == "transition"
-                       else models.ao_in_bh_frame(n, param))
+    transformed = getattr(models, _SIMILARITY_FAMILIES[model, frame])(n, param)
     params: Params = ((models.ep_parameter_name(model), param),
                       ("frame", Fraction(0 if frame == "transition" else 1)))
     return _report(CheckId.CHARPOLY_SIMILARITY, n, params, started,
-                   _poly_residual(transformed.char_poly(), h.char_poly()))
+                   _poly_residual(transformed.char_poly(),
+                                  spectra.char_poly_tridiagonal(n, model,
+                                                                param)))
 
 
 def check_ep_degeneracy(n: int, model: ModelId) -> VerificationReport:

@@ -202,6 +202,14 @@ def test_scenario_invalid_row_exits_2(capsys):
     assert "row" in err
 
 
+def test_scenario_dimension_one_exits_2(capsys):
+    code, out, err = run_cli(capsys, "scenario", "--row", "2", "--N", "1",
+                             "--t", "0")
+    assert code == 2
+    assert out == ""
+    assert "dimension" in err
+
+
 def test_scenario_out_of_domain_time(capsys):
     code, _, _ = run_cli(capsys, "scenario", "--row", "1", "--N", "3",
                          "--t", "-5/2")

@@ -8,7 +8,6 @@ from epgate import models
 from epgate.matrices import (
     ExactMatrix,
     ExactPolynomial,
-    NotInverseError,
     ShapeError,
     SingularError,
     StructureError,
@@ -157,13 +156,6 @@ def test_similarity_changes_noncommuting_matrix():
     j = models.jordan_block(3, 0)
     p = models.pascal_matrix(3)
     assert similarity(j, p, p.inverse_rational()) != j
-
-
-def test_similarity_rejects_wrong_inverse():
-    h = models.bh_hamiltonian(2, 1)
-    q = models.bh_transition(2)
-    with pytest.raises(NotInverseError):
-        similarity(h, q, q)
 
 
 def test_similarity_preserves_char_poly():

@@ -4,7 +4,7 @@ import pytest
 
 from epgate import models
 from epgate.matrices import ExactPolynomial
-from epgate.models import DomainError
+from epgate.models import DimensionError, DomainError
 from epgate.scenarios import (
     ROW_LABELS,
     hamiltonian_at,
@@ -108,6 +108,15 @@ def test_invalid_row():
         hamiltonian_at(9, 3, 0)
 
 
+@pytest.mark.parametrize("row", range(1, 7))
+def test_dimension_one_rejected_at_every_time(row):
+    with pytest.raises(DimensionError):
+        scenario_path(row, 1)
+    for t in (Fraction(-1, 4), 0, Fraction(1, 4)):
+        with pytest.raises(DimensionError):
+            hamiltonian_at(row, 1, t)
+
+
 # ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
@@ -137,3 +146,14 @@ def test_sample_path_row_5_interface():
 def test_sample_path_propagates_domain_error():
     with pytest.raises(DomainError):
         sample_path(1, 3, [Fraction(-3)])
+
+
+# the recurrence polynomial a sample reports is the dense Faddeev-LeVerrier
+# polynomial of the sampled matrix
+@pytest.mark.parametrize("t", [Fraction(-1, 4), Fraction(0), Fraction(1, 8)],
+                         ids=str)
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("row", range(1, 7))
+def test_sample_char_poly_is_dense_char_poly(row, n, t):
+    (sample,) = sample_path(row, n, [t])
+    assert sample.matrix.char_poly() == sample.char_poly

@@ -8,6 +8,7 @@ from epgate import models, serialize
 from epgate.matrices import ExactMatrix, ExactPolynomial
 from epgate.models import ModelId
 from epgate.radicals import GaussianRational, RadicalSum
+from epgate.scenarios import sample_path
 from epgate.spectra import condition_report, reality_scan
 from epgate.verify import (
     CheckId,
@@ -135,6 +136,12 @@ def test_spectrum_and_condition_round_trip():
     assert back == spec_report
     entries = condition_report([2, 3])
     assert serialize.parse_json(serialize.render_json(entries)) == entries
+
+
+@pytest.mark.parametrize("row", [1, 4])
+def test_path_sample_round_trip(row):
+    samples = sample_path(row, 3, [Fraction(-1, 4), 0, Fraction(1, 4)])
+    assert serialize.parse_json(serialize.render_json(samples)) == samples
 
 
 def test_empty_list_renders_as_empty_array():

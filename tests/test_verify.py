@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from epgate import models, scenarios
-from epgate.models import DomainError, ModelId
+from epgate.models import DimensionError, DomainError, ModelId
 from epgate.verify import (
     CheckId,
     VerificationReport,
@@ -61,6 +61,8 @@ def test_scenario_matching_samples():
 def test_scenario_matching_rejects_bad_row():
     with pytest.raises(DomainError):
         check_scenario_matching(3, 7)
+    with pytest.raises(DimensionError):
+        check_scenario_matching(1, 2)
 
 
 def test_scenario_rows_share_ep_interfaces_under_time_reversal():
@@ -126,9 +128,32 @@ def test_fault_injection_jordanization_ao(monkeypatch):
 
 
 def test_fault_injection_intertwiner_factorization(monkeypatch):
+    # the clean run first fills the S and S^-1 caches: built under the patched
+    # core, they would keep the perturbation for every later test
+    _assert_clean_pass(check_intertwiner_factorization(4))
     monkeypatch.setattr(models, "intertwiner_core",
                         perturb_constructor(models.intertwiner_core))
     _assert_detected(check_intertwiner_factorization(4))
+
+
+@pytest.mark.parametrize("model", list(ModelId), ids=lambda m: m.value)
+def test_fault_injection_jordanization_transition_inverse(monkeypatch, model):
+    name = f"{model.value}_transition_inverse"
+    monkeypatch.setattr(models, name,
+                        perturb_constructor(getattr(models, name)))
+    _assert_detected(check_jordanization(4, model))
+
+
+def test_fault_injection_intertwiner_factorization_inverse(monkeypatch):
+    monkeypatch.setattr(models, "intertwiner_inverse",
+                        perturb_constructor(models.intertwiner_inverse))
+    _assert_detected(check_intertwiner_factorization(4))
+
+
+def test_wrong_inverse_is_a_failed_report_not_an_error(monkeypatch):
+    monkeypatch.setattr(models, "intertwiner_inverse",
+                        perturb_constructor(models.intertwiner_inverse))
+    _assert_detected(check_scenario_matching(4, 3))
 
 
 def test_fault_injection_intertwine(monkeypatch):
