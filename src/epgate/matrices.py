@@ -2,11 +2,19 @@
 
 Everything here is exact: products, structural inverses, similarity
 transforms by proven inverse pairs, and the Faddeev-LeVerrier characteristic
-polynomial.  The only floating-point bridge is the Frobenius norm.  Inversion
-is deliberately structural -- back substitution for triangular matrices with
-monomially invertible diagonals, Gauss-Jordan over Gaussian rationals for
-radical-free matrices -- because every inverse needed downstream decomposes
-into these cases; there is no elimination over general multi-term pivots.
+polynomial.  The only floating-point bridge is the Frobenius norm.
+
+A product is one fused fraction-free dot product per entry (the
+common-denominator idea of Bareiss, applied to a single dot product): integer
+numerators over a running denominator per radicand, reduced to a canonical
+``RadicalSum`` once, at the end.
+
+Inversion is deliberately structural -- back substitution for triangular
+matrices with monomially invertible diagonals, Gauss-Jordan over Gaussian
+rationals for radical-free matrices.  The model inverses need neither
+general elimination nor Gauss-Jordan: they go through their diagonal
+factorizations, with the Pascal core inverted in closed form
+(``models.pascal_inverse``) and the intertwiner core by back substitution.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ from .radicals import (
     MultiTermInverse,
     RadicalSum,
     invert_monomial,
+    radicand_product,
 )
 
 _ZERO = RadicalSum()
@@ -148,16 +157,34 @@ class ExactMatrix:
         if self.n_cols != other.n_rows:
             raise ShapeError(
                 f"cannot multiply {self.shape} by {other.shape}")
-        bt = tuple(zip(*other._rows))  # columns of other
+        # per entry, one integer [re, im, den] per radicand: numerators add
+        # when denominators match and cross-multiply when they differ
+        rows = [[(k, e.integer_terms()) for k, e in enumerate(row) if e]
+                for row in self._rows]
+        cols = [[e.integer_terms() for e in col] for col in zip(*other._rows)]
         out = []
-        for row in self._rows:
+        for row in rows:
             out_row = []
-            for col in bt:
-                acc = _ZERO
-                for a, b in zip(row, col):
-                    if a and b:
-                        acc = acc + a * b
-                out_row.append(acc)
+            for col in cols:
+                acc: dict[int, list[int]] = {}
+                for k, a in row:
+                    for m1, ar, ai, ad in a:
+                        for m2, br, bi, bd in col[k]:
+                            key, g = radicand_product(m1, m2)
+                            re = (ar * br - ai * bi) * g
+                            im = (ar * bi + ai * br) * g
+                            den = ad * bd
+                            s = acc.get(key)
+                            if s is None:
+                                acc[key] = [re, im, den]
+                            elif s[2] == den:
+                                s[0] += re
+                                s[1] += im
+                            else:
+                                s[0] = s[0] * den + re * s[2]
+                                s[1] = s[1] * den + im * s[2]
+                                s[2] *= den
+                out_row.append(RadicalSum.from_integer_sums(acc))
             out.append(tuple(out_row))
         return ExactMatrix._raw(tuple(out))
 

@@ -13,7 +13,8 @@ point at lambda = 0 -- together with the Jordan block, the binomial
 * ``intertwiner``: the upper-triangular matrix S with S @ H_BH(1) =
   H_AO(0) @ S, built as diagonal * core * diagonal with a real
   square-root-of-binomials core,
-* exact inverses of all three, obtained through the factorizations, and
+* exact inverses of all three, obtained through the factorizations (the
+  binomial matrix has the closed-form inverse ``pascal_inverse``), and
 * the similarity-transformed Hamiltonian families used by the crossing
   scenarios (Jordan-basis and swapped-frame versions of both models).
 
@@ -156,6 +157,17 @@ def pascal_matrix(n: int) -> ExactMatrix:
         [comb(n - 1 - m, q) for q in range(n)] for m in range(n)])
 
 
+@lru_cache(maxsize=None)
+def pascal_inverse(n: int) -> ExactMatrix:
+    """Closed-form inverse of ``pascal_matrix(n)``: entry (m, q) is
+    (-1)^(m+q-n+1) * C(m, n-1-q)."""
+    if n < 1:
+        raise DimensionError(f"Pascal matrix needs n >= 1, got {n}")
+    return ExactMatrix([
+        [(-1) ** ((m + q - n + 1) % 2) * comb(m, n - 1 - q) for q in range(n)]
+        for m in range(n)])
+
+
 # ---------------------------------------------------------------------------
 # Transition matrices and their factorizations
 # ---------------------------------------------------------------------------
@@ -253,14 +265,14 @@ def _factored_inverse(pre: ExactMatrix, core_inverse: ExactMatrix,
 def bh_transition_inverse(n: int) -> ExactMatrix:
     """Exact inverse through the factorization."""
     pre, post = transition_factors(n, ModelId.BH)
-    return _factored_inverse(pre, pascal_matrix(n).inverse_rational(), post)
+    return _factored_inverse(pre, pascal_inverse(n), post)
 
 
 @lru_cache(maxsize=None)
 def ao_transition_inverse(n: int) -> ExactMatrix:
     """Exact inverse through the factorization."""
     pre, post = transition_factors(n, ModelId.AO)
-    return _factored_inverse(pre, pascal_matrix(n).inverse_rational(), post)
+    return _factored_inverse(pre, pascal_inverse(n), post)
 
 
 @lru_cache(maxsize=None)

@@ -63,6 +63,16 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     return s * rem, f
 
 
+def radicand_product(m1: int, m2: int) -> tuple[int, int]:
+    """sqrt(m1) * sqrt(m2) = g * sqrt(s) for squarefree m1, m2: returns (s, g).
+
+    With g = gcd(m1, m2), m1*m2 = g^2 * (m1/g)*(m2/g) and the cofactor
+    s = (m1/g)*(m2/g) is squarefree (equal radicands give s = 1, g = m1).
+    """
+    g = gcd(m1, m2)
+    return (m1 // g) * (m2 // g), g
+
+
 class GaussianRational:
     """Exact complex rational a + b*i with reduced-fraction components."""
 
@@ -225,6 +235,31 @@ class RadicalSum:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
+    def integer_terms(self) -> tuple[tuple[int, int, int, int], ...]:
+        """Terms as (radicand, re, im, den) integer quadruples, one common
+        denominator per coefficient: the term is (re + im*i)/den * sqrt(m)."""
+        out = []
+        for m, c in self._terms.items():
+            re, im = c.re, c.im
+            rd, id_ = re.denominator, im.denominator
+            if rd == id_:
+                out.append((m, re.numerator, im.numerator, rd))
+            else:
+                den = rd // gcd(rd, id_) * id_
+                out.append((m, re.numerator * (den // rd),
+                            im.numerator * (den // id_), den))
+        return tuple(out)
+
+    @classmethod
+    def from_integer_sums(cls, sums: dict[int, list[int]]) -> "RadicalSum":
+        """Canonical value of sums {m: [re, im, den]} read as the sum of
+        (re + im*i)/den * sqrt(m); keys must be squarefree, den positive."""
+        out = {}
+        for m, (re, im, den) in sums.items():
+            if re or im:
+                out[m] = GaussianRational(Fraction(re, den), Fraction(im, den))
+        return cls._raw(out)
+
     def as_gaussian(self) -> GaussianRational:
         """The value as a Gaussian rational; ValueError if radicals remain."""
         if not self._terms:
@@ -299,15 +334,8 @@ class RadicalSum:
         out: dict[int, GaussianRational] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
-                # sqrt(m1)*sqrt(m2) = g*sqrt(s) with g = gcd: both squarefree,
-                # so m1*m2 = g^2 * (m1/g)*(m2/g) and the cofactor is squarefree.
-                if m1 == m2:
-                    key = 1
-                    c = c1 * c2 * m1
-                else:
-                    g = gcd(m1, m2)
-                    key = (m1 // g) * (m2 // g)
-                    c = c1 * c2 * g if g != 1 else c1 * c2
+                key, g = radicand_product(m1, m2)
+                c = c1 * c2 * g if g != 1 else c1 * c2
                 acc = out.get(key)
                 c = c if acc is None else acc + c
                 if c:

@@ -29,7 +29,7 @@ import numpy as np
 from . import models
 from .matrices import ExactMatrix, ExactPolynomial, StructureError
 from .models import DomainError, ModelId
-from .radicals import RadicalSum
+from .radicals import GaussianRational
 
 
 # Root-residual tolerance of the spectrum scans and scenario sampling.
@@ -103,14 +103,19 @@ def _tridiagonal_char_poly(h: ExactMatrix) -> ExactPolynomial:
         for j in range(n):
             if abs(i - j) > 1 and h[i, j]:
                 raise StructureError(f"matrix is not tridiagonal at ({i},{j})")
-    one = ExactPolynomial([1])
-    prev2 = one
-    prev1 = ExactPolynomial([-h[0, 0], RadicalSum.of(1)])
-    for k in range(2, n + 1):
-        lin = ExactPolynomial([-h[k - 1, k - 1], RadicalSum.of(1)])
-        offdiag = h[k - 2, k - 1] * h[k - 1, k - 2]
-        prev1, prev2 = lin * prev1 - offdiag * prev2, prev1
-    return prev1
+    d = [h[k, k].as_gaussian() for k in range(n)]
+    b = [(h[k - 1, k] * h[k, k - 1]).as_gaussian() for k in range(1, n)]
+    # coefficient lists, degree ascending: p_k = (E - d_k) p_(k-1) - b_k p_(k-2)
+    prev2 = [GaussianRational(1)]
+    prev1 = [-d[0], GaussianRational(1)]
+    for k in range(1, n):
+        nxt = [GaussianRational(0)] + prev1
+        for i, c in enumerate(prev1):
+            nxt[i] = nxt[i] - d[k] * c
+        for i, c in enumerate(prev2):
+            nxt[i] = nxt[i] - b[k - 1] * c
+        prev1, prev2 = nxt, prev1
+    return ExactPolynomial(prev1)
 
 
 def find_roots(p: FloatPolynomial, tol: float = 1e-12,

@@ -5,8 +5,12 @@ from __future__ import annotations
 
 import itertools
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
+from epgate import models
 from epgate.matrices import ExactMatrix
 from epgate.radicals import GaussianRational, RadicalSum
 
@@ -141,14 +145,30 @@ def random_radical(rng: random.Random, max_terms: int = 3,
     return RadicalSum(terms)
 
 
-def random_matrix(rng: random.Random, n: int, **kw) -> ExactMatrix:
-    return ExactMatrix([[random_radical(rng, **kw) for _ in range(n)]
+# Hypothesis strategy: RadicalSum values of up to three terms
+_fractions = st.fractions(min_value=-1000, max_value=1000, max_denominator=30)
+radical_sums = st.dictionaries(
+    st.integers(min_value=1, max_value=50),
+    st.builds(GaussianRational, _fractions, _fractions), max_size=3,
+).map(RadicalSum)
+
+
+def random_matrix(rng: random.Random, n: int, n_cols: int | None = None,
+                  **kw) -> ExactMatrix:
+    return ExactMatrix([[random_radical(rng, **kw) for _ in range(n_cols or n)]
                         for _ in range(n)])
 
 
 # ---------------------------------------------------------------------------
 # Independent oracles
 # ---------------------------------------------------------------------------
+
+def naive_matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    """Reference product: each entry the plain sum of RadicalSum products."""
+    return ExactMatrix([
+        [sum((x * y for x, y in zip(row, col)), RadicalSum()) for col in
+         zip(*b.rows())] for row in a.rows()])
+
 
 def trial_division_squarefree(n: int) -> tuple[int, int]:
     """Reference squarefree split: largest square divisor by brute force."""
@@ -212,3 +232,24 @@ def perturb_constructor(fn, where="corner", delta=1):
             i, j = where
         return m.with_entry(i, j, m[i, j] + delta)
     return wrapper
+
+
+# lru-cached constructors of epgate.models, collected before any test patches
+# the module
+_MODEL_CACHES = [fn for fn in vars(models).values()
+                 if hasattr(fn, "cache_clear")
+                 and getattr(fn, "__module__", None) == "epgate.models"]
+
+
+@contextmanager
+def fresh_model_caches():
+    """Empty every models lru cache on entry and on exit, so a matrix built
+    while a constructor is patched cannot outlive the patch inside a cached
+    composite (intertwiner, transition inverses, ...)."""
+    for fn in _MODEL_CACHES:
+        fn.cache_clear()
+    try:
+        yield
+    finally:
+        for fn in _MODEL_CACHES:
+            fn.cache_clear()

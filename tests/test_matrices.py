@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from epgate import models
 from epgate.matrices import (
@@ -16,7 +17,11 @@ from epgate.matrices import (
 from epgate.radicals import GaussianRational, RadicalSum
 from helpers import (
     GOLDEN_Q_BH,
+    G,
+    T,
     leibniz_char_poly,
+    naive_matmul,
+    radical_sums,
     random_matrix,
     random_radical,
 )
@@ -67,6 +72,74 @@ def test_matmul_associativity_random():
         b = random_matrix(rng, 3, max_terms=2, max_radicand=10, max_num=9, max_den=4)
         c = random_matrix(rng, 3, max_terms=2, max_radicand=10, max_num=9, max_den=4)
         assert (a @ b) @ c == a @ (b @ c)
+
+
+def _assert_canonical(m: ExactMatrix):
+    for row in m.rows():
+        for e in row:
+            assert all(c for _, c in e.items())
+
+
+@pytest.mark.parametrize("shape", [(3, 5, 2), (1, 1, 1), (4, 4, 4)])
+def test_matmul_matches_naive_product_random(shape):
+    rows, inner, cols = shape
+    rng = random.Random(41)
+    for _ in range(30):
+        # coprime denominators up to 30 exercise the cross-multiply branch
+        a = random_matrix(rng, rows, inner, max_radicand=30, max_den=30)
+        b = random_matrix(rng, inner, cols, max_radicand=30, max_den=30)
+        product = a @ b
+        assert product == naive_matmul(a, b)
+        assert product.shape == (rows, cols)
+        _assert_canonical(product)
+
+
+@st.composite
+def _factor_pair(draw):
+    rows, inner, cols = (draw(st.integers(1, 4)) for _ in range(3))
+    def matrix(n, m):
+        return ExactMatrix([[draw(radical_sums) for _ in range(m)]
+                            for _ in range(n)])
+    return matrix(rows, inner), matrix(inner, cols)
+
+
+@given(_factor_pair())
+def test_hypothesis_matmul_matches_naive_product(pair):
+    a, b = pair
+    product = a @ b
+    assert product == naive_matmul(a, b)
+    _assert_canonical(product)
+
+
+def test_matmul_mixed_denominators_and_radicands():
+    # 1/3 + 1/5*sqrt(2)*sqrt(2) and sqrt(6)*sqrt(10) = 2*sqrt(15)
+    a = ExactMatrix([[Fraction(1, 3), T(2, Fraction(1, 5))], [T(6, 1), 0]])
+    b = ExactMatrix([[1, T(10, 0, 1)], [T(2, 1), T(2, 0, Fraction(1, 7))]])
+    assert a @ b == ExactMatrix([
+        [G(Fraction(1, 3) + Fraction(2, 5)),
+         RadicalSum({10: GaussianRational(0, Fraction(1, 3)),
+                     1: GaussianRational(0, Fraction(2, 35))})],
+        [T(6, 1), T(15, 0, 2)]])
+
+
+def test_matmul_imaginary_parts():
+    # (i*sqrt(2)) * (i*sqrt(2)) + (1 + i) * (1 - i) = -2 + 2 = 0
+    a = ExactMatrix([[T(2, 0, 1), G(1, 1)]])
+    b = ExactMatrix([[T(2, 0, 1)], [G(1, -1)]])
+    assert (a @ b).is_zero()
+    b2 = ExactMatrix([[T(2, 0, 1)], [G(1, 1)]])
+    assert (a @ b2)[0, 0] == G(-2, 2)
+
+
+def test_matmul_exact_cancellation_is_canonical():
+    # sqrt(2)*sqrt(2) - 2 = 0 and sqrt(2)*sqrt(6) + 1 - 2*sqrt(3) = 1
+    a = ExactMatrix([[T(2, 1), 1, T(3, 1)]])
+    b = ExactMatrix([[T(2, 1), T(6, 1)], [-2, 1], [0, -2]])
+    zero, one = (a @ b)[0, 0], (a @ b)[0, 1]
+    assert zero == RadicalSum() and zero.items() == () and not zero
+    assert one == RadicalSum.of(1) and one.items() == ((1, GaussianRational(1)),)
+    assert hash(zero) == hash(RadicalSum()) == hash(0)
+    assert hash(one) == hash(RadicalSum.of(1)) == hash(1)
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,11 @@ def test_pascal_matrix_golden():
     assert models.pascal_matrix(1) == ExactMatrix([[1]])
 
 
+def test_pascal_inverse_closed_form_is_gauss_jordan_inverse():
+    for n in range(2, 21):
+        assert models.pascal_inverse(n) == models.pascal_matrix(n).inverse_rational()
+
+
 # ---------------------------------------------------------------------------
 # transition matrices (golden reproduction)
 # ---------------------------------------------------------------------------

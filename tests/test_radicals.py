@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given
 
 from epgate.radicals import (
     DivisionByZero,
@@ -17,7 +17,7 @@ from epgate.radicals import (
     invert_monomial,
     squarefree_decompose,
 )
-from helpers import random_radical, trial_division_squarefree
+from helpers import radical_sums, random_radical, trial_division_squarefree
 
 SQRT2 = RadicalSum.sqrt_int(2)
 SQRT3 = RadicalSum.sqrt_int(3)
@@ -222,20 +222,13 @@ def test_invert_monomial_two_sided_random():
 # hypothesis property tests
 # ---------------------------------------------------------------------------
 
-_fractions = st.fractions(min_value=-1000, max_value=1000, max_denominator=30)
-_gaussians = st.builds(GaussianRational, _fractions, _fractions)
-_radicals = st.dictionaries(
-    st.integers(min_value=1, max_value=50), _gaussians, max_size=3,
-).map(RadicalSum)
-
-
-@given(_radicals, _radicals)
+@given(radical_sums, radical_sums)
 def test_hypothesis_commutativity(a, b):
     assert a + b == b + a
     assert a * b == b * a
 
 
-@given(_radicals)
+@given(radical_sums)
 def test_hypothesis_canonical_observables(a):
     for m, c in a.items():
         assert m >= 1
@@ -243,6 +236,6 @@ def test_hypothesis_canonical_observables(a):
         assert c
 
 
-@given(_radicals)
+@given(radical_sums)
 def test_hypothesis_additive_inverse(a):
     assert a - a == ZERO

@@ -38,7 +38,7 @@ def test_tridiagonal_matches_dense_char_poly():
                            Fraction(3, 4), Fraction(1)],
               ModelId.AO: [Fraction(0), Fraction(1, 16), Fraction(1, 8),
                            Fraction(1, 4)]}
-    for n in range(2, 9):
+    for n in range(2, 10):
         for model, values in params.items():
             for v in values:
                 h = (models.bh_hamiltonian(n, v) if model is ModelId.BH

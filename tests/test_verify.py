@@ -16,7 +16,7 @@ from epgate.verify import (
     check_scenario_matching,
     run_suite,
 )
-from helpers import perturb_constructor
+from helpers import fresh_model_caches, perturb_constructor
 
 
 def _assert_clean_pass(report: VerificationReport):
@@ -128,8 +128,6 @@ def test_fault_injection_jordanization_ao(monkeypatch):
 
 
 def test_fault_injection_intertwiner_factorization(monkeypatch):
-    # the clean run first fills the S and S^-1 caches: built under the patched
-    # core, they would keep the perturbation for every later test
     _assert_clean_pass(check_intertwiner_factorization(4))
     monkeypatch.setattr(models, "intertwiner_core",
                         perturb_constructor(models.intertwiner_core))
@@ -142,6 +140,25 @@ def test_fault_injection_jordanization_transition_inverse(monkeypatch, model):
     monkeypatch.setattr(models, name,
                         perturb_constructor(getattr(models, name)))
     _assert_detected(check_jordanization(4, model))
+
+
+@pytest.mark.parametrize("model", list(ModelId), ids=lambda m: m.value)
+def test_fault_injection_pascal_inverse(monkeypatch, model):
+    # both transition inverses are built from the closed-form Pascal inverse
+    monkeypatch.setattr(models, "pascal_inverse",
+                        perturb_constructor(models.pascal_inverse))
+    _assert_detected(check_jordanization(4, model))
+
+
+def test_patched_constructor_does_not_outlive_its_patch():
+    # patched while the caches are cold, intertwiner_core is baked into the
+    # cached S(4); clearing the caches with the undo keeps it out of later
+    # checks (the conftest fixture does this around every monkeypatching test)
+    with pytest.MonkeyPatch.context() as mp, fresh_model_caches():
+        mp.setattr(models, "intertwiner_core",
+                   perturb_constructor(models.intertwiner_core))
+        _assert_detected(check_intertwine(4))
+    _assert_clean_pass(check_intertwine(4))
 
 
 def test_fault_injection_intertwiner_factorization_inverse(monkeypatch):
