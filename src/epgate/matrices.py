@@ -7,7 +7,9 @@ polynomial.  The only floating-point bridge is the Frobenius norm.
 A product is one fused fraction-free dot product per entry (the
 common-denominator idea of Bareiss, applied to a single dot product): integer
 numerators over a running denominator per radicand, reduced to a canonical
-``RadicalSum`` once, at the end.
+``RadicalSum`` once, at the end.  The left operand is read into integer
+terms once per product, and once for all the products of a Faddeev-LeVerrier
+characteristic polynomial.
 
 Inversion is deliberately structural -- back substitution for triangular
 matrices with monomially invertible diagonals, Gauss-Jordan over Gaussian
@@ -157,36 +159,7 @@ class ExactMatrix:
         if self.n_cols != other.n_rows:
             raise ShapeError(
                 f"cannot multiply {self.shape} by {other.shape}")
-        # per entry, one integer [re, im, den] per radicand: numerators add
-        # when denominators match and cross-multiply when they differ
-        rows = [[(k, e.integer_terms()) for k, e in enumerate(row) if e]
-                for row in self._rows]
-        cols = [[e.integer_terms() for e in col] for col in zip(*other._rows)]
-        out = []
-        for row in rows:
-            out_row = []
-            for col in cols:
-                acc: dict[int, list[int]] = {}
-                for k, a in row:
-                    for m1, ar, ai, ad in a:
-                        for m2, br, bi, bd in col[k]:
-                            key, g = radicand_product(m1, m2)
-                            re = (ar * br - ai * bi) * g
-                            im = (ar * bi + ai * br) * g
-                            den = ad * bd
-                            s = acc.get(key)
-                            if s is None:
-                                acc[key] = [re, im, den]
-                            elif s[2] == den:
-                                s[0] += re
-                                s[1] += im
-                            else:
-                                s[0] = s[0] * den + re * s[2]
-                                s[1] = s[1] * den + im * s[2]
-                                s[2] *= den
-                out_row.append(RadicalSum.from_integer_sums(acc))
-            out.append(tuple(out_row))
-        return ExactMatrix._raw(tuple(out))
+        return _accumulate(_read_rows(self), other)
 
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix._raw(tuple(zip(*self._rows)))
@@ -283,14 +256,13 @@ class ExactMatrix:
         n = self.n_rows
         coeffs: list[RadicalSum] = [_ZERO] * (n + 1)
         coeffs[n] = _ONE
-        m = ExactMatrix.identity(n)
-        am = self @ m
+        rows = _read_rows(self)  # read once for all n - 1 products
+        am = self
         for k in range(1, n + 1):
             c = (-am.trace()) / k
             coeffs[n - k] = c
             if k < n:
-                m = am + ExactMatrix.scalar(n, c)
-                am = self @ m
+                am = _accumulate(rows, am + ExactMatrix.scalar(n, c))
         return ExactPolynomial(coeffs)
 
     def frobenius_norm(self) -> float:
@@ -304,6 +276,47 @@ class ExactMatrix:
 
     def __repr__(self) -> str:
         return f"ExactMatrix({self.n_rows}x{self.n_cols})"
+
+
+def _read_rows(a: ExactMatrix) -> list:
+    """The left operand of a product, read once: each row's nonzero entries
+    as (column, integer terms) pairs."""
+    return [[(k, e.integer_terms()) for k, e in enumerate(row) if e]
+            for row in a._rows]
+
+
+def _accumulate(rows: list, other: ExactMatrix) -> ExactMatrix:
+    """The product of a left operand read by ``_read_rows`` with ``other``.
+
+    Per entry, one integer [re, im, den] per radicand: numerators add when
+    denominators match and cross-multiply when they differ.
+    """
+    cols = [[e.integer_terms() for e in col] for col in zip(*other._rows)]
+    out = []
+    for row in rows:
+        out_row = []
+        for col in cols:
+            acc: dict[int, list[int]] = {}
+            for k, a in row:
+                for m1, ar, ai, ad in a:
+                    for m2, br, bi, bd in col[k]:
+                        key, g = radicand_product(m1, m2)
+                        re = (ar * br - ai * bi) * g
+                        im = (ar * bi + ai * br) * g
+                        den = ad * bd
+                        s = acc.get(key)
+                        if s is None:
+                            acc[key] = [re, im, den]
+                        elif s[2] == den:
+                            s[0] += re
+                            s[1] += im
+                        else:
+                            s[0] = s[0] * den + re * s[2]
+                            s[1] = s[1] * den + im * s[2]
+                            s[2] *= den
+            out_row.append(RadicalSum.from_integer_sums(acc))
+        out.append(tuple(out_row))
+    return ExactMatrix._raw(tuple(out))
 
 
 def similarity(h: ExactMatrix, q: ExactMatrix, q_inv: ExactMatrix) -> ExactMatrix:

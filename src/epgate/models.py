@@ -16,7 +16,10 @@ point at lambda = 0 -- together with the Jordan block, the binomial
 * exact inverses of all three, obtained through the factorizations (the
   binomial matrix has the closed-form inverse ``pascal_inverse``), and
 * the similarity-transformed Hamiltonian families used by the crossing
-  scenarios (Jordan-basis and swapped-frame versions of both models).
+  scenarios (Jordan-basis and swapped-frame versions of both models).  Each
+  is a pencil A + c(p)*B: A and B are transformed once per (n, model,
+  frame) by ``family_pencil``, so a sample costs O(n^2) scalar operations
+  instead of two dense products.
 
 All constructors are pure and exact; parameters are exact rationals.
 """
@@ -109,6 +112,22 @@ def bh_hamiltonian(n: int, z) -> ExactMatrix:
     return ExactMatrix(rows)
 
 
+def _coupling_scale(n: int, lam) -> Fraction:
+    """1 - damping(lambda), the factor under every coupling's square root of
+    the real asymmetric family; it must stay positive.  The coupling radicand
+    k*(n-k)*(1 - damping) has its smallest factor k*(n-k) at k = 1, so the
+    first row pair to leave the domain is (0,1)."""
+    lam = _as_fraction(lam)
+    if lam < 0:
+        raise DomainError(f"lambda must be >= 0, got {lam}")
+    scale = 1 - CouplingSchedule(n).damping(lam)
+    if scale <= 0:
+        raise NonPositiveRadicand(
+            f"coupling radicand {(n - 1) * scale} at row pair (0,1); "
+            f"lambda = {lam} is outside the model domain")
+    return scale
+
+
 def ao_hamiltonian(n: int, lam) -> ExactMatrix:
     """Real asymmetric tridiagonal family, dimension n, parameter lambda >= 0.
 
@@ -117,20 +136,12 @@ def ao_hamiltonian(n: int, lam) -> ExactMatrix:
     damping must stay below 1 so every radicand is positive.
     """
     _check_dimension(n)
-    lam = _as_fraction(lam)
-    if lam < 0:
-        raise DomainError(f"lambda must be >= 0, got {lam}")
-    damping = CouplingSchedule(n).damping(lam)
+    scale = _coupling_scale(n, lam)
     rows = [[_ZERO] * n for _ in range(n)]
     for k in range(n):
         rows[k][k] = RadicalSum.of(Fraction(2 * k - n + 1))
     for k in range(1, n):
-        radicand = k * (n - k) * (1 - damping)
-        if radicand <= 0:
-            raise NonPositiveRadicand(
-                f"coupling radicand {radicand} at row pair ({k - 1},{k}); "
-                f"lambda = {lam} is outside the model domain")
-        g = RadicalSum.sqrt_rational(radicand)
+        g = RadicalSum.sqrt_rational(k * (n - k) * scale)
         rows[k - 1][k] = g
         rows[k][k - 1] = -g
     return ExactMatrix(rows)
@@ -287,35 +298,69 @@ def intertwiner_inverse(n: int) -> ExactMatrix:
 # Similarity-transformed Hamiltonian families
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def family_pencil(n: int, model: ModelId,
+                  frame: str) -> tuple[ExactMatrix, ExactMatrix]:
+    """(A, B) with q_inv @ H(p) @ q = A + c(p) * B for every p in the domain.
+
+    Both families are affine in one scalar that is 1 at the EP: H_BH(z) =
+    H(0) + z*(H_EP - H(0)), so c = z; H_AO(lambda) = D + sqrt(1 - damping) *
+    (H_EP - D) with D the diagonal, so c = sqrt(1 - damping) (damping is
+    site-independent, see ``CouplingSchedule``).  A and B are the similarity
+    transforms of the two parts; by linearity and canonical entries, A + c*B
+    is structurally q_inv @ H(p) @ q.  ``frame`` is "transition" (the
+    family's own EP transition matrix) or "intertwiner" (S, towards the
+    other model's frame).
+    """
+    if frame == "transition":
+        q, q_inv = transition(n, model), transition_inverse(n, model)
+    else:
+        q, q_inv = intertwiner(n), intertwiner_inverse(n)
+        if model is ModelId.BH:
+            q, q_inv = q_inv, q
+    ep = ep_hamiltonian(n, model)
+    base = (bh_hamiltonian(n, 0) if model is ModelId.BH
+            else ExactMatrix.diagonal(ep[k, k] for k in range(n)))
+    return similarity(base, q, q_inv), similarity(ep - base, q, q_inv)
+
+
+def _pencil_family(n: int, model: ModelId, frame: str, param) -> ExactMatrix:
+    """A + c(param) * B from ``family_pencil``: O(n^2) scalar work per call."""
+    _check_dimension(n)
+    if model is ModelId.BH:
+        c = RadicalSum.of(_as_fraction(param))
+    else:
+        c = RadicalSum.sqrt_rational(_coupling_scale(n, param))
+    a, b = family_pencil(n, model, frame)
+    return ExactMatrix([[x + c * y if y else x for x, y in zip(ra, rb)]
+                        for ra, rb in zip(a.rows(), b.rows())])
+
+
 def bh_in_jordan_basis(n: int, z) -> ExactMatrix:
     """The complex-symmetric Hamiltonian conjugated into the basis of its own
     EP transition matrix: Q^-1 @ H(z) @ Q.  Equals the nilpotent Jordan block
     at z = 1."""
-    return similarity(bh_hamiltonian(n, z), bh_transition(n),
-                      bh_transition_inverse(n))
+    return _pencil_family(n, ModelId.BH, "transition", z)
 
 
 def ao_in_jordan_basis(n: int, lam) -> ExactMatrix:
     """The real asymmetric Hamiltonian conjugated into the basis of its own
     EP transition matrix: Q^-1 @ H(lambda) @ Q.  Equals the nilpotent Jordan
     block at lambda = 0."""
-    return similarity(ao_hamiltonian(n, lam), ao_transition(n),
-                      ao_transition_inverse(n))
+    return _pencil_family(n, ModelId.AO, "transition", lam)
 
 
 def bh_in_ao_frame(n: int, z) -> ExactMatrix:
     """S @ H_BH(z) @ S^-1: the complex-symmetric dynamics written in the real
     asymmetric model's frame.  Equals ao_hamiltonian(n, 0) at z = 1."""
-    return similarity(bh_hamiltonian(n, z), intertwiner_inverse(n),
-                      intertwiner(n))
+    return _pencil_family(n, ModelId.BH, "intertwiner", z)
 
 
 def ao_in_bh_frame(n: int, lam) -> ExactMatrix:
     """S^-1 @ H_AO(lambda) @ S: the real asymmetric dynamics written in the
     complex-symmetric model's frame.  Equals bh_hamiltonian(n, 1) at
     lambda = 0."""
-    return similarity(ao_hamiltonian(n, lam), intertwiner(n),
-                      intertwiner_inverse(n))
+    return _pencil_family(n, ModelId.AO, "intertwiner", lam)
 
 
 def ep_hamiltonian(n: int, model: ModelId) -> ExactMatrix:

@@ -42,15 +42,18 @@ def _as_fraction(x) -> Fraction:
 def squarefree_decompose(n: int) -> tuple[int, int]:
     """Split a positive integer as n = f**2 * s with s squarefree.
 
-    Returns (s, f).  Trial division; n here never exceeds products of a few
-    binomial-sized integers, so this is far from the bottleneck.
+    Returns (s, f).  Trial division runs only while d^3 <= rem: what is
+    left then has no prime factor below d, so it is 1, p, p^2 or p*q, and
+    one integer square root settles it.  The cost is O(n^(1/3)) divisions,
+    which matters for the large radicands of AO couplings at parameters with
+    large denominators.
     """
     if n < 1:
         raise InvalidRadicand(f"radicand must be a positive integer, got {n}")
     s, f = 1, 1
     rem = n
     d = 2
-    while d * d <= rem:
+    while d * d * d <= rem:
         if rem % d == 0:
             e = 0
             while rem % d == 0:
@@ -60,6 +63,9 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
             if e % 2:
                 s *= d
         d += 1 if d == 2 else 2
+    r = isqrt(rem)
+    if r * r == rem:
+        return s, f * r
     return s * rem, f
 
 

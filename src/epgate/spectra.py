@@ -8,10 +8,12 @@ exactly through the three-term minor recurrence
 
 where the sub*sup product of paired couplings is +-k(N-k)(1-damping) -- a
 plain rational -- so the recurrence never leaves Gaussian-rational
-coefficients even though the matrix entries are radicals.  Roots are then
-located in floating point with a simultaneous Aberth-Ehrlich iteration from
-a fixed, deterministic circle of starting points: identical inputs give
-bit-identical reports.
+coefficients even though the matrix entries are radicals.  It runs
+fraction-free: scaled by one integer so that every d and sub*sup is a
+Gaussian integer, on integer coefficient lists, with one division per
+coefficient at the end.  Roots are then located in floating point with a
+simultaneous Aberth-Ehrlich iteration from a fixed, deterministic circle of
+starting points: identical inputs give bit-identical reports.
 
 Spectral reality is certified in two stages: exactly at the coefficient
 level (real rational coefficients for every rational parameter), and
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -105,17 +108,31 @@ def _tridiagonal_char_poly(h: ExactMatrix) -> ExactPolynomial:
                 raise StructureError(f"matrix is not tridiagonal at ({i},{j})")
     d = [h[k, k].as_gaussian() for k in range(n)]
     b = [(h[k - 1, k] * h[k, k - 1]).as_gaussian() for k in range(1, n)]
-    # coefficient lists, degree ascending: p_k = (E - d_k) p_(k-1) - b_k p_(k-2)
-    prev2 = [GaussianRational(1)]
-    prev1 = [-d[0], GaussianRational(1)]
+    # fraction-free: with s*d_k and s^2*b_k Gaussian integers, the scaled
+    # q_k(F) = s^k p_k(F/s) satisfies q_k = (F - s d_k) q_(k-1) - s^2 b_k
+    # q_(k-2) in integers, and coefficient j of p_n is q_n's over s^(n-j)
+    s = lcm(*(x.denominator for g in d + b for x in (g.re, g.im)))
+    sd = [(_scaled(g.re, s), _scaled(g.im, s)) for g in d]
+    sb = [(_scaled(g.re, s * s), _scaled(g.im, s * s)) for g in b]
+    # coefficient lists (real parts, imaginary parts), degree ascending
+    prev2 = ([1], [0])
+    prev1 = ([-sd[0][0], 1], [-sd[0][1], 0])
     for k in range(1, n):
-        nxt = [GaussianRational(0)] + prev1
-        for i, c in enumerate(prev1):
-            nxt[i] = nxt[i] - d[k] * c
-        for i, c in enumerate(prev2):
-            nxt[i] = nxt[i] - b[k - 1] * c
-        prev1, prev2 = nxt, prev1
-    return ExactPolynomial(prev1)
+        (dr, di), (br, bi) = sd[k], sb[k - 1]
+        re, im = [0] + prev1[0], [0] + prev1[1]
+        for (cr, ci), (xr, xi) in (((dr, di), prev1), ((br, bi), prev2)):
+            for j, (vr, vi) in enumerate(zip(xr, xi)):
+                re[j] -= cr * vr - ci * vi
+                im[j] -= cr * vi + ci * vr
+        prev1, prev2 = (re, im), prev1
+    return ExactPolynomial(
+        GaussianRational(Fraction(r, s ** (n - j)), Fraction(i, s ** (n - j)))
+        for j, (r, i) in enumerate(zip(*prev1)))
+
+
+def _scaled(x: Fraction, s: int) -> int:
+    """x * s for a multiple s of x's denominator."""
+    return x.numerator * (s // x.denominator)
 
 
 def find_roots(p: FloatPolynomial, tol: float = 1e-12,

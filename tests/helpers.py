@@ -11,7 +11,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from epgate import models
-from epgate.matrices import ExactMatrix
+from epgate.matrices import ExactMatrix, ExactPolynomial, similarity
 from epgate.radicals import GaussianRational, RadicalSum
 
 
@@ -253,3 +253,41 @@ def fresh_model_caches():
     finally:
         for fn in _MODEL_CACHES:
             fn.cache_clear()
+
+
+def gaussian_tridiagonal_char_poly(h: ExactMatrix) -> ExactPolynomial:
+    """Reference three-term recurrence p_k = (E - d_k) p_(k-1) - b_k p_(k-2)
+    run directly on Gaussian-rational coefficient lists."""
+    n = h.n_rows
+    d = [h[k, k].as_gaussian() for k in range(n)]
+    b = [(h[k - 1, k] * h[k, k - 1]).as_gaussian() for k in range(1, n)]
+    prev2 = [GaussianRational(1)]
+    prev1 = [-d[0], GaussianRational(1)]
+    for k in range(1, n):
+        nxt = [GaussianRational(0)] + prev1
+        for i, c in enumerate(prev1):
+            nxt[i] = nxt[i] - d[k] * c
+        for i, c in enumerate(prev2):
+            nxt[i] = nxt[i] - b[k - 1] * c
+        prev1, prev2 = nxt, prev1
+    return ExactPolynomial(prev1)
+
+
+# family name -> (Hamiltonian, q, q_inv) of its q_inv @ H @ q definition
+SIMILARITY_DEFINITIONS = {
+    "bh_in_jordan_basis": (models.bh_hamiltonian, models.bh_transition,
+                           models.bh_transition_inverse),
+    "ao_in_jordan_basis": (models.ao_hamiltonian, models.ao_transition,
+                           models.ao_transition_inverse),
+    "bh_in_ao_frame": (models.bh_hamiltonian, models.intertwiner_inverse,
+                       models.intertwiner),
+    "ao_in_bh_frame": (models.ao_hamiltonian, models.intertwiner,
+                       models.intertwiner_inverse),
+}
+
+
+def similarity_family(name: str, n: int, param) -> ExactMatrix:
+    """Reference transformed family: the per-sample product
+    q_inv @ H(param) @ q through ``matrices.similarity``."""
+    h, q, q_inv = SIMILARITY_DEFINITIONS[name]
+    return similarity(h(n, param), q(n), q_inv(n))

@@ -21,7 +21,9 @@ from helpers import (
     GOLDEN_Q_BH,
     GOLDEN_R,
     GOLDEN_S,
+    SIMILARITY_DEFINITIONS,
     T,
+    similarity_family,
 )
 
 
@@ -204,6 +206,39 @@ def test_frame_swaps_at_the_ep():
     for n in range(2, 7):
         assert models.ao_in_bh_frame(n, 0) == models.bh_hamiltonian(n, 1)
         assert models.bh_in_ao_frame(n, 1) == models.ao_hamiltonian(n, 0)
+
+
+# in-domain parameters per model: the EP, off-EP points, and z < 0 for BH
+_PENCIL_PARAMS = {
+    "bh": [Fraction(1), Fraction(1, 2), Fraction(3, 7), Fraction(1, 8),
+           Fraction(17, 64), Fraction(-1, 2)],
+    "ao": [Fraction(0), Fraction(1, 2), Fraction(3, 7), Fraction(1, 8),
+           Fraction(17, 64)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIMILARITY_DEFINITIONS))
+def test_pencil_families_equal_per_sample_similarity(name):
+    for n in (2, 3, 5, 8):
+        for p in _PENCIL_PARAMS[name[:2]]:
+            assert getattr(models, name)(n, p) == similarity_family(name, n, p)
+
+
+def _raised(fn, *args) -> tuple[type, str]:
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("name", sorted(SIMILARITY_DEFINITIONS))
+def test_pencil_families_raise_like_the_definition(name):
+    bad = [(1, Fraction(1, 2)), (1, Fraction(-1, 2)), (3, 0.5)]
+    if name.startswith("ao"):
+        bad += [(4, Fraction(-1, 4)), (2, Fraction(1)), (4, Fraction(3)),
+                (6, Fraction(3, 4))]
+    for n, p in bad:
+        assert _raised(getattr(models, name), n, p) == \
+            _raised(similarity_family, name, n, p)
 
 
 def test_ep_helpers():

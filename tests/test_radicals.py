@@ -37,6 +37,12 @@ def test_squarefree_examples():
 def test_squarefree_against_trial_division_oracle():
     rng = random.Random(7)
     values = list(range(1, 200)) + [rng.randint(1, 10**6) for _ in range(100)]
+    # past the d^3 <= rem cutoff the rest is 1, p, p^2 or p*q, settled by one
+    # integer square root: exercise each of those tails
+    p, q, r = 1009, 1013, 997
+    values += [p, p * p, p * q, p * p * q, p * q * q * 12, p * q * r,
+               4 * p * p, 9 * p * q, 2 ** 20 * p, 3 ** 5 * q * q]
+    values += [rng.randint(1, 10**8) for _ in range(50)]
     for n in values:
         s, f = squarefree_decompose(n)
         assert (s, f) == trial_division_squarefree(n)

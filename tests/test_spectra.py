@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epgate import models
 from epgate.matrices import ExactMatrix, ExactPolynomial, StructureError
@@ -17,6 +19,7 @@ from epgate.spectra import (
     find_roots,
     reality_scan,
 )
+from helpers import gaussian_tridiagonal_char_poly
 
 
 # ---------------------------------------------------------------------------
@@ -44,6 +47,30 @@ def test_tridiagonal_matches_dense_char_poly():
                 h = (models.bh_hamiltonian(n, v) if model is ModelId.BH
                      else models.ao_hamiltonian(n, v))
                 assert char_poly_tridiagonal(n, model, v) == h.char_poly()
+
+
+# z anywhere; lambda in [0, 1/2), where damping < lambda / (1 - lambda) < 1
+_Z = st.fractions(min_value=-3, max_value=3, max_denominator=32)
+_LAM = st.fractions(min_value=0, max_value=Fraction(15, 32),
+                    max_denominator=32)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=2, max_value=20), _Z, _LAM)
+def test_hypothesis_integer_recurrence_matches_gaussian_recurrence(n, z, lam):
+    from epgate.spectra import _tridiagonal_char_poly
+    for h in (models.bh_hamiltonian(n, z), models.ao_hamiltonian(n, lam)):
+        assert _tridiagonal_char_poly(h) == gaussian_tridiagonal_char_poly(h)
+
+
+def test_large_denominator_ao_polynomial_builds():
+    # lambda = 7/64 at N = 20 squarefree-decomposes 19 radicands with a 2^54
+    # denominator; trial division up to sqrt(rem) took minutes on them
+    lam = Fraction(7, 64)
+    p = char_poly_tridiagonal(20, ModelId.AO, lam)
+    assert p == gaussian_tridiagonal_char_poly(models.ao_hamiltonian(20, lam))
+    assert p.is_monic and p.degree == 20
+    assert all(c.as_gaussian().im == 0 for c in p.coefficients)
 
 
 def test_coefficients_real_rational_and_traceless():

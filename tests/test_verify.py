@@ -195,6 +195,26 @@ def test_fault_injection_charpoly_similarity(monkeypatch):
                                                "transition"))
 
 
+# The transformed families read their frame through the lru-cached
+# ``models.family_pencil``; the conftest fixture empties it before the patch,
+# so the pencil is built from the patched constructor and a wrong frame
+# matrix still fails the checks that use it.
+
+def test_fault_injection_intertwiner_through_the_pencil(monkeypatch):
+    monkeypatch.setattr(models, "intertwiner",
+                        perturb_constructor(models.intertwiner))
+    _assert_detected(check_charpoly_similarity(4, ModelId.AO, Fraction(1, 8),
+                                               "intertwiner"))
+    _assert_detected(check_scenario_matching(4, 1))
+
+
+def test_fault_injection_ao_transition_through_the_pencil(monkeypatch):
+    monkeypatch.setattr(models, "ao_transition",
+                        perturb_constructor(models.ao_transition))
+    _assert_detected(check_charpoly_similarity(4, ModelId.AO, Fraction(1, 8),
+                                               "transition"))
+
+
 def test_fault_injection_ep_degeneracy(monkeypatch):
     monkeypatch.setattr(models, "bh_hamiltonian",
                         perturb_constructor(models.bh_hamiltonian, where="diag"))
