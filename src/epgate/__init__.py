@@ -3,8 +3,10 @@ Bose-Hubbard and anharmonic-oscillator matrix models.
 
 The exact layer (radicals, matrices, models, verify) works in the field of
 Gaussian-rational combinations of integer square roots and proves every
-identity with zero tolerance; the numeric layer (spectra) adds
-floating-point root finding and conditioning on top of exact coefficients.
+identity with zero tolerance; the numeric layer (spectra) reports each
+spectrum as the closed-form sl(2) ladder certified against the exact
+characteristic polynomial, with floating-point root finding as its
+cross-check and conditioning estimates.
 """
 
 from .radicals import (

@@ -6,7 +6,8 @@ Subcommands:
                 parameters, transition matrices, intertwiner and its core,
                 binomial matrix, Jordan block),
 * ``verify``    run exact identity checks over a dimension range,
-* ``spectrum``  numeric spectra of one family over an exact parameter grid,
+* ``spectrum``  certified closed-form spectra of one family over an exact
+                parameter grid,
 * ``scenario``  sample one exceptional-point crossing path,
 * ``condition`` Frobenius condition estimates of the transition matrices.
 
@@ -20,10 +21,8 @@ exact layer.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
-from math import sqrt
 
 from . import models, scenarios, serialize, spectra, verify
 from .models import DimensionError, DomainError, ModelId
@@ -129,38 +128,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    model = ModelId(args.model)
     grid = _parse_grid(args.grid)
-    reports = spectra.reality_scan(args.N, model, grid)
-    if args.format == "json":
-        payload = serialize.to_jsonable(reports)
-        if model is ModelId.BH:
-            for item, report in zip(payload, reports):
-                item["exploratory_equidistant_deviation"] = \
-                    _equidistant_deviation(report)
-        text = json.dumps(payload, indent=2)
-    else:
-        blocks = []
-        for report in reports:
-            block = serialize.render_text(report)
-            if model is ModelId.BH:
-                block += ("\n  exploratory equidistant-pattern deviation: "
-                          f"{_equidistant_deviation(report)!r}")
-            blocks.append(block)
-        text = "\n\n".join(blocks)
-    serialize.write(text + "\n", args.out)
+    reports = spectra.reality_scan(args.N, ModelId(args.model), grid)
+    serialize.emit(reports, args.format, args.out)
     return 0
-
-
-def _equidistant_deviation(report: spectra.SpectrumReport) -> float:
-    """Max distance of the numeric roots from the evenly spaced ladder
-    (N-1-2n)*sqrt(1-z^2).  Exploratory only: reported, never asserted."""
-    n = report.N
-    z = report.param
-    unit = sqrt(max(1.0 - z * z, 0.0))
-    ladder = sorted((n - 1 - 2 * k) * unit for k in range(n))
-    roots = sorted(report.roots, key=lambda r: r.real)
-    return max(abs(r - l) for r, l in zip(roots, ladder))
 
 
 def _cmd_scenario(args) -> int:
@@ -261,8 +232,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
         return args.func(args)
-    except (UsageError, DomainError, DimensionError,
-            spectra.ConvergenceError, OSError) as exc:
+    except (UsageError, DomainError, DimensionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

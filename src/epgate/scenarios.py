@@ -130,8 +130,10 @@ def scenario_path(row: int, n: int,
 def hamiltonian_at(row: int, n: int, t) -> ExactMatrix:
     """The scenario Hamiltonian at time t: the left family for t < 0, the
     interface matrix at t = 0, the right family for t > 0."""
-    t = Fraction(t)
-    path = scenario_path(row, n)
+    return _matrix_at(scenario_path(row, n), Fraction(t))
+
+
+def _matrix_at(path: ScenarioPath, t: Fraction) -> ExactMatrix:
     if t < 0:
         return path.left_family(t)
     if t > 0:
@@ -141,21 +143,22 @@ def hamiltonian_at(row: int, n: int, t) -> ExactMatrix:
 
 def sample_path(row: int, n: int, t_values) -> list[PathSample]:
     """Sample a scenario at the given times: exact matrix, exact
-    characteristic polynomial, and numeric roots per sample.
+    characteristic polynomial, and its closed-form roots per sample.
 
     The polynomial is the tridiagonal recurrence of the family the sample is
-    similar to: the left side's for t <= 0, the right side's for t > 0."""
-    param = scenario_path(row, n).parametrization
+    similar to: the left side's for t <= 0, the right side's for t > 0.  It
+    is certified against the sl(2) ladder (``spectra.certified_spectrum``),
+    whose roots are reported."""
+    path = scenario_path(row, n)
+    param = path.parametrization
     samples = []
     for t in t_values:
         t = Fraction(t)
-        matrix = hamiltonian_at(row, n, t)
+        matrix = _matrix_at(path, t)
         name, side = ((param.left_name, param.left) if t <= 0
                       else (param.right_name, param.right))
         model = ModelId.BH if name == "z" else ModelId.AO
-        poly = spectra.char_poly_tridiagonal(n, model, side(t))
-        roots = spectra.find_roots(spectra.FloatPolynomial.from_exact(poly),
-                                   tol=spectra.ROOT_TOL)
+        poly, roots = spectra.certified_spectrum(n, model, side(t))
         samples.append(PathSample(t=t, matrix=matrix, char_poly=poly,
-                                  roots=tuple(roots)))
+                                  roots=roots))
     return samples

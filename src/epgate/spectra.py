@@ -1,5 +1,6 @@
-"""Numeric layer: tridiagonal characteristic polynomials, polynomial root
-finding, spectral-reality and degeneracy-approach reports, conditioning.
+"""Numeric layer: tridiagonal characteristic polynomials, closed-form
+spectra, polynomial root finding, spectral-reality and degeneracy-approach
+reports, conditioning.
 
 The characteristic polynomial of either Hamiltonian family is computed
 exactly through the three-term minor recurrence
@@ -11,21 +12,30 @@ plain rational -- so the recurrence never leaves Gaussian-rational
 coefficients even though the matrix entries are radicals.  It runs
 fraction-free: scaled by one integer so that every d and sub*sup is a
 Gaussian integer, on integer coefficient lists, with one division per
-coefficient at the end.  Roots are then located in floating point with a
-simultaneous Aberth-Ehrlich iteration from a fixed, deterministic circle of
-starting points: identical inputs give bit-identical reports.
+coefficient at the end.
 
-Spectral reality is certified in two stages: exactly at the coefficient
-level (real rational coefficients for every rational parameter), and
-numerically at the root level.  Exact root-reality certification would need
-real-root-counting machinery, which this package deliberately omits.
+Both families are the spin-(N-1)/2 representation of sl(2):
+H_BH(z) = 2(J_x + i z J_z) and H_AO(lambda) = 2(J_z + i c J_y) with
+c = sqrt(1 - damping).  So each polynomial is the ladder
+
+    prod_k (E^2 - (N-1-2k)^2 d),  times E for odd N,
+
+with d = 1 - z^2 (BH) or d = damping(lambda) (AO), and the exceptional
+point is exactly d = 0.  Every reported spectrum is certified by comparing
+the recurrence polynomial with the ladder at zero tolerance; the roots are
+then the roundings of (N-1-2k) sqrt(d), real exactly when d >= 0, which
+holds on the whole model domain (|z| <= 1, lambda >= 0).
+
+``find_roots`` (a simultaneous Aberth-Ehrlich iteration from a fixed,
+deterministic circle of starting points) is the independent float
+cross-check of the closed form: identical inputs give bit-identical roots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, sqrt
 
 import numpy as np
 
@@ -33,10 +43,6 @@ from . import models
 from .matrices import ExactMatrix, ExactPolynomial, StructureError
 from .models import DomainError, ModelId
 from .radicals import GaussianRational
-
-
-# Root-residual tolerance of the spectrum scans and scenario sampling.
-ROOT_TOL = 1e-10
 
 
 class ConvergenceError(RuntimeError):
@@ -140,29 +146,33 @@ def find_roots(p: FloatPolynomial, tol: float = 1e-12,
     """All roots of a monic polynomial by simultaneous Aberth-Ehrlich
     iteration.
 
-    Starting points sit on a fixed circle of radius 1 + max|coeff| with a
-    fixed angular offset, so results are deterministic.  Convergence is
-    declared when every residual satisfies |p(z)| <= tol * (1 + sum|coeff|),
-    which also covers multiple roots (no separation is claimed for them).
-    Returns roots sorted by (real, imag).
+    Starting points sit on a fixed circle of Fujiwara's radius
+    2 * max_k |c_(N-k)|^(1/k), which encloses every root, with a fixed
+    angular offset, so results are deterministic.  Convergence is declared
+    when every iterate has |p(z)| <= tol * (1 + sum_k |c_k| |z|^k): a
+    backward error relative to the polynomial's own size at z, with the
+    1 + keeping it reachable at a root of p = E^N.  This also covers
+    multiple roots (no separation is claimed for them).  Returns roots
+    sorted by (real, imag).
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     deg = p.degree
     coeffs_desc = np.array(p.coefficients[::-1], dtype=complex)
     deriv_desc = np.polyder(coeffs_desc)
-    radius = 1.0 + float(np.max(np.abs(coeffs_desc[1:])))
+    abs_desc = np.abs(coeffs_desc)
+    radius = 2.0 * float(np.max(abs_desc[1:] ** (1.0 / np.arange(1, deg + 1))))
     angles = 2.0 * np.pi * np.arange(deg) / deg + 0.4
     z = radius * np.exp(1j * angles)
-    scale = 1.0 + float(np.sum(np.abs(coeffs_desc)))
     best = z
-    best_res = np.inf
+    best_err = np.inf
     for _ in range(max_iter):
         pv = np.polyval(coeffs_desc, z)
-        res = float(np.max(np.abs(pv)))
-        if res < best_res:
-            best, best_res = z.copy(), res
-        if res <= tol * scale:
+        err = float(np.max(np.abs(pv)
+                           / (1.0 + np.polyval(abs_desc, np.abs(z)))))
+        if err < best_err:
+            best, best_err = z.copy(), err
+        if err <= tol:
             return _sorted_roots(z)
         dv = np.polyval(deriv_desc, z)
         dv = np.where(dv == 0, 1e-300, dv)
@@ -174,8 +184,8 @@ def find_roots(p: FloatPolynomial, tol: float = 1e-12,
         denom = np.where(denom == 0, 1.0, denom)
         z = z - newton / denom
     raise ConvergenceError(
-        f"no convergence after {max_iter} iterations (best residual "
-        f"{best_res:.3e})", _sorted_roots(best))
+        f"no convergence after {max_iter} iterations (best backward error "
+        f"{best_err:.3e})", _sorted_roots(best))
 
 
 def _sorted_roots(z: np.ndarray) -> list[complex]:
@@ -183,15 +193,61 @@ def _sorted_roots(z: np.ndarray) -> list[complex]:
     return [complex(v) for v in z[order]]
 
 
+def ladder_d(n: int, model: ModelId, param) -> Fraction:
+    """The square d of the ladder step: 1 - z^2 for BH, damping(lambda) for
+    AO.  d = 0 exactly at the exceptional point."""
+    param = Fraction(param)
+    if model is ModelId.BH:
+        return 1 - param * param
+    return models.CouplingSchedule(n).damping(param)
+
+
+def ladder_poly(n: int, d: Fraction) -> ExactPolynomial:
+    """prod_k (E^2 - (n-1-2k)^2 d) over k < n // 2, times E for odd n."""
+    # coefficients in x = E^2, degree descending; multiply in each factor
+    coeffs = [Fraction(1)]
+    for k in range(n // 2):
+        c = (n - 1 - 2 * k) ** 2 * d
+        coeffs = [a - c * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    out = [0] * (n + 1)
+    for j, c in enumerate(coeffs):
+        out[n - 2 * j] = c
+    return ExactPolynomial(out)
+
+
+def ladder_roots(n: int, d: Fraction) -> tuple[complex, ...]:
+    """The roots (n-1-2k) sqrt(d), k = 0..n-1, rounded to floats: real for
+    d >= 0, i (n-1-2k) sqrt(-d) for d < 0.  Sorted by (real, imag), with
+    every zero part +0.0."""
+    unit = sqrt(abs(d))
+    steps = [m * unit + 0.0 for m in range(1 - n, n, 2)]  # -0.0 + 0.0 = 0.0
+    if d >= 0:
+        return tuple(complex(x, 0.0) for x in steps)
+    return tuple(complex(0.0, y) for y in steps)
+
+
+def certified_spectrum(n: int, model: ModelId, param
+                       ) -> tuple[ExactPolynomial, tuple[complex, ...]]:
+    """The recurrence characteristic polynomial of a model Hamiltonian and
+    its closed-form roots, after proving exactly that the polynomial is the
+    ladder of ``ladder_d``; a mismatch raises ``StructureError``."""
+    poly = char_poly_tridiagonal(n, model, param)
+    d = ladder_d(n, model, param)
+    if poly != ladder_poly(n, d):
+        raise StructureError(
+            f"{model.value} N={n} at {param}: the characteristic "
+            f"polynomial is not the sl(2) ladder with d = {d}")
+    return poly, ladder_roots(n, d)
+
+
 def _spectrum_report(n: int, model: ModelId,
                      param: Fraction) -> SpectrumReport:
-    exact = char_poly_tridiagonal(n, model, param)
-    roots = find_roots(FloatPolynomial.from_exact(exact), tol=ROOT_TOL)
+    _, roots = certified_spectrum(n, model, param)
     arr = np.array(roots)
     gaps = np.abs(arr[:, None] - arr[None, :])
     iu = np.triu_indices(len(roots), k=1)
     return SpectrumReport(
-        N=n, model=model, param=float(param), roots=tuple(roots),
+        N=n, model=model, param=float(param), roots=roots,
         max_imag=float(np.max(np.abs(arr.imag))),
         max_pair_gap=float(np.max(gaps[iu])),
         min_pair_gap=float(np.min(gaps[iu])))

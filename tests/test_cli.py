@@ -159,8 +159,23 @@ def test_spectrum_json_grid(capsys):
     assert code == 0
     items = json.loads(out)
     assert [i["param"] for i in items] == [0.25, 0.5, 0.75]
-    assert all("exploratory_equidistant_deviation" in i for i in items)
-    assert all(i["max_imag"] <= 1e-8 for i in items)
+    assert all("exploratory_equidistant_deviation" not in i for i in items)
+    assert all(i["max_imag"] == 0 for i in items)
+
+
+def test_ep_roots_print_as_positive_zeros(capsys):
+    zeros = ", ".join(["(0.0, 0.0)"] * 4)
+    for argv in (("scenario", "--row", "2", "--N", "4", "--t", "0"),
+                 ("spectrum", "--model", "bh", "--N", "4", "--grid", "1:1:1")):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert "-0.0" not in out
+        assert f"roots: {zeros}\n" in out
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert "-0.0" not in out
+        (item,) = json.loads(out)
+        assert item["roots"] == [[0.0, 0.0]] * 4
 
 
 def test_spectrum_accepts_decimal_grid(capsys):

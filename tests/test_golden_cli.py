@@ -2,8 +2,8 @@
 
 Each file under ``tests/golden/`` is the stdout of one ``epgate`` command,
 with report timings masked because they are the only nondeterministic
-bytes.  Scenario roots are floats from an iterative solver, so they are
-compared to 1e-12 while every exact field is compared byte for byte.
+bytes.  Scenario roots are floats (the rounded closed-form ladder), so they
+are compared to 1e-12 while every exact field is compared byte for byte.
 """
 
 import json

@@ -131,7 +131,7 @@ def test_sample_path_bundles():
 def test_sample_path_single_ep_sample():
     (sample,) = sample_path(2, 2, [Fraction(0)])
     assert sample.matrix == models.jordan_block(2, 0)
-    assert all(abs(r) < 3e-5 for r in sample.roots)
+    assert sample.roots == (0j, 0j)  # the ladder at d = 0, not a float scatter
 
 
 def test_sample_path_row_5_interface():
@@ -141,6 +141,20 @@ def test_sample_path_row_5_interface():
     # the untransformed families they conjugate
     left = models.ao_hamiltonian(3, Fraction(1, 4)).char_poly()
     assert samples[0].char_poly == left
+
+
+def test_sample_path_builds_its_path_once(monkeypatch):
+    from epgate import scenarios
+    calls = []
+    original = scenarios.scenario_path
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "scenario_path", counted)
+    sample_path(2, 4, [Fraction(-1, 4), Fraction(0), Fraction(1, 8)])
+    assert calls == [(2, 4)]
 
 
 def test_sample_path_propagates_domain_error():

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epgate import models
+from epgate import models, spectra
 from epgate.matrices import ExactMatrix, ExactPolynomial, StructureError
 from epgate.models import ModelId
+from epgate.scenarios import sample_path
 from epgate.spectra import (
     ConvergenceError,
     FloatPolynomial,
@@ -17,6 +18,9 @@ from epgate.spectra import (
     condition_report,
     degeneracy_scan,
     find_roots,
+    ladder_d,
+    ladder_poly,
+    ladder_roots,
     reality_scan,
 )
 from helpers import gaussian_tridiagonal_char_poly
@@ -90,6 +94,141 @@ def test_tridiagonal_rejects_dense_matrix():
 
 
 # ---------------------------------------------------------------------------
+# sl(2) ladder: closed-form polynomial and roots
+# ---------------------------------------------------------------------------
+
+def test_ladder_examples():
+    assert ladder_d(5, ModelId.BH, Fraction(1, 2)) == Fraction(3, 4)
+    assert ladder_d(6, ModelId.AO, Fraction(1, 2)) == Fraction(3, 4)
+    assert ladder_d(3, ModelId.AO, Fraction(1, 2)) == Fraction(1, 2)
+    # (E^2 - 9d)(E^2 - d) and E(E^2 - 4d)
+    assert ladder_poly(4, Fraction(2)) == ExactPolynomial([36, 0, -20, 0, 1])
+    assert ladder_poly(3, Fraction(1, 4)) == ExactPolynomial([0, -1, 0, 1])
+    for n in (2, 5, 9):
+        assert ladder_poly(n, Fraction(0)) == ExactPolynomial.power(n)
+
+
+def test_ladder_roots_real_imaginary_and_zero():
+    assert ladder_roots(3, Fraction(1, 4)) == (-1 + 0j, 0j, 1 + 0j)
+    assert ladder_roots(2, Fraction(-4)) == (-2j, 2j)
+    assert ladder_roots(4, Fraction(9, 4)) == (-4.5, -1.5, 1.5, 4.5)
+    for n, d in ((4, Fraction(0)), (5, Fraction(0)), (3, Fraction(-1)),
+                 (5, Fraction(1, 9))):
+        roots = ladder_roots(n, d)
+        assert list(roots) == sorted(roots, key=lambda r: (r.real, r.imag))
+        # no -0.0 may reach text or JSON output
+        for r in roots:
+            for part in (r.real, r.imag):
+                assert math.copysign(1.0, part) == 1.0 or part != 0
+
+
+def _ao_domain_proof_points(n):
+    return [Fraction(0)] + [Fraction(1, j) for j in range(2, n // 2 + 2)]
+
+
+def test_ladder_holds_on_the_whole_parameter_domain():
+    # The recurrence polynomial has degree <= N in z (diagonal linear in z,
+    # couplings constant), and for AO degree <= N // 2 in s = 1 - damping
+    # (the diagonal is constant and only the products of paired couplings,
+    # -k(N-k)s, enter).  The ladder has the same degrees in z and in s, so
+    # equality at N + 1 values of z, and at N // 2 + 1 values of lambda with
+    # distinct damping, is equality as polynomials: the factorization holds
+    # for every z and every lambda.  damping is strictly increasing on
+    # lambda >= 0, so distinct lambda there give distinct s.
+    for n in range(2, 17):
+        for z in range(n + 1):
+            assert char_poly_tridiagonal(n, ModelId.BH, z) == \
+                ladder_poly(n, ladder_d(n, ModelId.BH, z)), (n, z)
+        lams = _ao_domain_proof_points(n)
+        schedule = models.CouplingSchedule(n)
+        assert len({schedule.damping(lam) for lam in lams}) == n // 2 + 1
+        for lam in lams:
+            assert char_poly_tridiagonal(n, ModelId.AO, lam) == \
+                ladder_poly(n, ladder_d(n, ModelId.AO, lam)), (n, lam)
+
+
+def _sympy_model(sp, n, model, param):
+    """The model Hamiltonian written out from its definition in sympy, with
+    the AO damping summed here rather than taken from ``models``."""
+    h = sp.zeros(n, n)
+    if model is ModelId.BH:
+        for k in range(n):
+            h[k, k] = sp.I * (2 * k - n + 1) * param
+        for k in range(1, n):
+            h[k - 1, k] = h[k, k - 1] = sp.sqrt(k * (n - k))
+        return h
+    s = param  # 1 - damping
+    for k in range(n):
+        h[k, k] = 2 * k - n + 1
+    for k in range(1, n):
+        h[k - 1, k] = sp.sqrt(k * (n - k) * s)
+        h[k, k - 1] = -sp.sqrt(k * (n - k) * s)
+    return h
+
+
+def _sympy_ladder(sp, e, n, d):
+    return e ** (n % 2) * sp.prod(
+        [e ** 2 - (n - 1 - 2 * k) ** 2 * d for k in range(n // 2)])
+
+
+def test_ladder_factorization_against_sympy_oracle():
+    sp = pytest.importorskip("sympy")
+    e, z = sp.symbols("E z")
+    s = sp.symbols("s", positive=True)
+    for n in range(2, 7):
+        for model, param, d in ((ModelId.BH, z, 1 - z ** 2),
+                                (ModelId.AO, s, 1 - s)):
+            h = _sympy_model(sp, n, model, param)
+            assert sp.expand(h.charpoly(e).as_expr()
+                             - _sympy_ladder(sp, e, n, d)) == 0, (n, model)
+
+
+def test_ladder_poly_and_roots_against_sympy_oracle():
+    sp = pytest.importorskip("sympy")
+    e = sp.symbols("E")
+    cases = ((ModelId.BH, Fraction(1, 2)), (ModelId.BH, Fraction(5, 3)),
+             (ModelId.AO, Fraction(1, 8)), (ModelId.AO, Fraction(3, 7)))
+    for n in range(2, 7):
+        for model, param in cases:
+            p = sp.Rational(param.numerator, param.denominator)
+            if model is ModelId.AO:  # p becomes 1 - damping
+                k = n // 2
+                p = 1 - (p if k == 1 else sum(p ** j for j in range(1, k)))
+            h = _sympy_model(sp, n, model, p)
+            cp = sp.Poly(h.charpoly(e).as_expr(), e)
+            ours = ladder_poly(n, ladder_d(n, model, param))
+            assert [sp.Rational(str(c.as_gaussian().re))
+                    for c in reversed(ours.coefficients)] == cp.all_coeffs()
+            assert all(c.as_gaussian().im == 0 for c in ours.coefficients)
+            want = sorted((complex(r) for r, mult in sp.roots(cp).items()
+                           for _ in range(mult)),
+                          key=lambda r: (round(r.real, 9), round(r.imag, 9)))
+            got = ladder_roots(n, ladder_d(n, model, param))
+            assert len(got) == n
+            assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12, \
+                (n, model, param)
+
+
+@pytest.mark.parametrize("target", ["ladder_poly", "ladder_d"])
+def test_perturbed_ladder_raises_structure_error(monkeypatch, target):
+    original = getattr(spectra, target)
+    if target == "ladder_poly":
+        perturbed = lambda n, d: original(n, d) + 1
+    else:
+        perturbed = lambda n, model, param: \
+            original(n, model, param) + Fraction(1, 7)
+    monkeypatch.setattr(spectra, target, perturbed)
+    with pytest.raises(StructureError):
+        sample_path(1, 4, [Fraction(-1, 4)])
+    with pytest.raises(StructureError):
+        sample_path(2, 3, [Fraction(0)])
+    with pytest.raises(StructureError):
+        reality_scan(4, ModelId.AO, [Fraction(1, 8)])
+    with pytest.raises(StructureError):
+        reality_scan(5, ModelId.BH, [Fraction(1, 2)])
+
+
+# ---------------------------------------------------------------------------
 # root finder
 # ---------------------------------------------------------------------------
 
@@ -107,6 +246,30 @@ def test_find_roots_triple_root_residual_criterion():
     scale = 1 + sum(abs(c) for c in p.coefficients)
     for r in roots:
         assert abs(r) ** 3 <= tol * scale * (1 + 1e-9)
+
+
+def test_find_roots_backward_error_criterion_at_shifted_triple_root():
+    p = FloatPolynomial((-1, 3, -3, 1))  # (E - 1)^3
+    tol = 1e-12
+    for r in find_roots(p, tol=tol):
+        size = 1 + sum(abs(c) * abs(r) ** k
+                       for k, c in enumerate(p.coefficients))
+        assert abs(((r - 1) ** 3)) <= tol * size * (1 + 1e-6)
+
+
+# Aberth used to hit its iteration cap at every N >= 20; the loss of
+# accuracy with N is the conditioning of the ladder's polynomial
+@pytest.mark.parametrize("n", [20, 24, 28, 32])
+def test_find_roots_converges_to_the_ladder_at_large_n(n):
+    cases = ((ModelId.BH, Fraction(1, 2)), (ModelId.BH, Fraction(9, 10)),
+             (ModelId.BH, Fraction(1)), (ModelId.AO, Fraction(1, 8)),
+             (ModelId.AO, Fraction(1, 4)), (ModelId.AO, Fraction(0)))
+    for model, param in cases:
+        p = FloatPolynomial.from_exact(char_poly_tridiagonal(n, model, param))
+        found = sorted(find_roots(p, tol=1e-10), key=lambda r: r.real)
+        ladder = ladder_roots(n, ladder_d(n, model, param))
+        dev = max(abs(a - b) for a, b in zip(found, ladder))
+        assert dev <= 1e-8 * (n - 1), (model, param, dev)
 
 
 def test_find_roots_half_integer():
@@ -203,9 +366,9 @@ def test_degeneracy_scan_shrinks_toward_ep():
 
 def test_degeneracy_scan_at_the_ep():
     (report,) = degeneracy_scan(4, ModelId.BH, [Fraction(1)])
-    # multiple root: the residual criterion bounds |root|, not separation
-    tol_scale = 1e-10 * 2
-    assert report.max_pair_gap <= 2 * tol_scale ** (1 / 4)
+    # d = 0: the ladder collapses to exact zeros
+    assert report.roots == (0j,) * 4
+    assert report.max_pair_gap == 0
 
 
 # ---------------------------------------------------------------------------
