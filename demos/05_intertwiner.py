@@ -12,7 +12,7 @@ from epgate import (
     intertwiner_core,
     intertwiner_inverse,
 )
-from epgate.models import intertwiner_post_factor, intertwiner_pre_factor
+from epgate.models import intertwiner_factors
 
 # S can be computed as a product of the two transition matrices ...
 n = 5
@@ -21,8 +21,8 @@ via_transitions = ao_transition(n) @ bh_transition_inverse(n)
 # ... but it also has its own three-factor closed form: powers of (-1+i) on
 # the diagonals and a strictly real upper-triangular core of square roots of
 # binomial products.
-closed_form = (intertwiner_pre_factor(n) @ intertwiner_core(n)
-               @ intertwiner_post_factor(n))
+pre, post = intertwiner_factors(n)
+closed_form = pre @ intertwiner_core(n) @ post
 assert via_transitions == closed_form == intertwiner(n)
 print(intertwiner(n))
 print()

@@ -27,7 +27,6 @@ from .matrices import (
     similarity,
 )
 from .models import (
-    CouplingSchedule,
     DimensionError,
     DomainError,
     ModelId,
@@ -42,6 +41,7 @@ from .models import (
     bh_in_jordan_basis,
     bh_transition,
     bh_transition_inverse,
+    damping,
     intertwiner,
     intertwiner_core,
     intertwiner_inverse,
@@ -68,7 +68,6 @@ __all__ = [
     "CheckId",
     "ConditionEntry",
     "ConvergenceError",
-    "CouplingSchedule",
     "DimensionError",
     "DivisionByZero",
     "DomainError",
@@ -100,6 +99,7 @@ __all__ = [
     "bh_transition_inverse",
     "char_poly_tridiagonal",
     "condition_report",
+    "damping",
     "degeneracy_scan",
     "find_roots",
     "hamiltonian_at",

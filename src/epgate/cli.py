@@ -76,7 +76,10 @@ def _parse_grid(text: str) -> list[Fraction]:
 
 
 def _parse_t_list(text: str) -> list[Fraction]:
-    return [_parse_rational(p) for p in text.split(",") if p.strip()]
+    t_values = [_parse_rational(p) for p in text.split(",") if p.strip()]
+    if not t_values:
+        raise UsageError(f"--t {text!r} names no time")
+    return t_values
 
 
 _GEN_BUILDERS = {

@@ -21,7 +21,6 @@ factorizations, with the Pascal core inverted in closed form
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import sqrt
 
 from .radicals import (
@@ -81,11 +80,6 @@ class ExactMatrix:
         v = RadicalSum.of(value)
         return cls._raw(tuple(
             tuple(v if i == j else _ZERO for j in range(n)) for i in range(n)))
-
-    @classmethod
-    def zeros(cls, n_rows: int, n_cols: int) -> "ExactMatrix":
-        return cls._raw(tuple(
-            tuple(_ZERO for _ in range(n_cols)) for _ in range(n_rows)))
 
     @classmethod
     def diagonal(cls, entries) -> "ExactMatrix":
@@ -161,9 +155,6 @@ class ExactMatrix:
                 f"cannot multiply {self.shape} by {other.shape}")
         return _accumulate(_read_rows(self), other)
 
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix._raw(tuple(zip(*self._rows)))
-
     def trace(self) -> RadicalSum:
         if not self.is_square:
             raise ShapeError("trace needs a square matrix")
@@ -171,13 +162,6 @@ class ExactMatrix:
         for i in range(self.n_rows):
             acc = acc + self._rows[i][i]
         return acc
-
-    def with_entry(self, i: int, j: int, value) -> "ExactMatrix":
-        """Copy with one entry replaced (handy for sensitivity experiments)."""
-        v = RadicalSum.of(value)
-        return ExactMatrix._raw(tuple(
-            tuple(v if (r == i and c == j) else e for c, e in enumerate(row))
-            for r, row in enumerate(self._rows)))
 
     # -- structural inverses -------------------------------------------------
 
@@ -390,31 +374,6 @@ class ExactPolynomial:
         if not isinstance(other, ExactPolynomial):
             other = ExactPolynomial([other])
         return self + ExactPolynomial([-c for c in other._coeffs])
-
-    def __mul__(self, other) -> "ExactPolynomial":
-        if isinstance(other, (int, Fraction, GaussianRational, RadicalSum)):
-            s = RadicalSum.of(other)
-            return ExactPolynomial([c * s for c in self._coeffs])
-        if not isinstance(other, ExactPolynomial):
-            return NotImplemented
-        out = [_ZERO] * (len(self._coeffs) + len(other._coeffs) - 1)
-        for i, a in enumerate(self._coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other._coeffs):
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return ExactPolynomial(out)
-
-    __rmul__ = __mul__
-
-    def __call__(self, x) -> RadicalSum:
-        """Exact Horner evaluation at a point in the radical field."""
-        x = RadicalSum.of(x)
-        acc = _ZERO
-        for c in reversed(self._coeffs):
-            acc = acc * x + c
-        return acc
 
     def to_complex_coefficients(self) -> list[complex]:
         """Degree-ascending double-precision mirror of the coefficients."""

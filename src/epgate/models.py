@@ -26,7 +26,6 @@ All constructors are pure and exact; parameters are exact rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from enum import Enum
@@ -66,9 +65,8 @@ def _as_fraction(x) -> Fraction:
     raise DomainError(f"parameters must be exact rationals, got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
-class CouplingSchedule:
-    """Coupling-damping schedule of the anharmonic-oscillator family.
+def damping(n: int, lam) -> Fraction:
+    """Coupling damping of the anharmonic-oscillator family.
 
     N = 2K or 2K + 1; with the optional per-site constants dropped, the
     damping is site-independent:  lambda + lambda^2 + ... + lambda^(K-1).
@@ -76,18 +74,10 @@ class CouplingSchedule:
     exceptional point for every lambda, so the schedule uses the linear
     damping lambda there instead (the N = 2, 3 special case).
     """
-
-    N: int
-
-    @property
-    def K(self) -> int:
-        return self.N // 2
-
-    def damping(self, lam: Fraction) -> Fraction:
-        lam = _as_fraction(lam)
-        if self.K == 1:
-            return lam
-        return sum((lam ** j for j in range(1, self.K)), Fraction(0))
+    lam = _as_fraction(lam)
+    if n // 2 == 1:
+        return lam
+    return sum((lam ** j for j in range(1, n // 2)), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +110,7 @@ def _coupling_scale(n: int, lam) -> Fraction:
     lam = _as_fraction(lam)
     if lam < 0:
         raise DomainError(f"lambda must be >= 0, got {lam}")
-    scale = 1 - CouplingSchedule(n).damping(lam)
+    scale = 1 - damping(n, lam)
     if scale <= 0:
         raise NonPositiveRadicand(
             f"coupling radicand {(n - 1) * scale} at row pair (0,1); "
@@ -224,19 +214,14 @@ _BETA = GaussianRational(-1, 1)
 
 
 @lru_cache(maxsize=None)
-def intertwiner_pre_factor(n: int) -> ExactMatrix:
-    """Diagonal (1 - i)^(-k), k = 0..n-1."""
+def intertwiner_factors(n: int) -> tuple[ExactMatrix, ExactMatrix]:
+    """Diagonals (pre, post) with S = pre @ core @ post: pre holds
+    (1 - i)^(-k) and post (-1 + i)^k, k = 0..n-1."""
     _check_dimension(n)
-    return ExactMatrix.diagonal(
+    pre = ExactMatrix.diagonal(
         RadicalSum.of((-_BETA) ** (-k)) for k in range(n))
-
-
-@lru_cache(maxsize=None)
-def intertwiner_post_factor(n: int) -> ExactMatrix:
-    """Diagonal (-1 + i)^k, k = 0..n-1."""
-    _check_dimension(n)
-    return ExactMatrix.diagonal(
-        RadicalSum.of(_BETA ** k) for k in range(n))
+    post = ExactMatrix.diagonal(RadicalSum.of(_BETA ** k) for k in range(n))
+    return pre, post
 
 
 @lru_cache(maxsize=None)
@@ -256,8 +241,8 @@ def intertwiner(n: int) -> ExactMatrix:
     """Upper-triangular matrix S mapping the complex-symmetric EP Hamiltonian
     to the real asymmetric one: S @ bh_hamiltonian(n, 1) =
     ao_hamiltonian(n, 0) @ S.  Diagonal entries are (-1)^k."""
-    return (intertwiner_pre_factor(n) @ intertwiner_core(n)
-            @ intertwiner_post_factor(n))
+    pre, post = intertwiner_factors(n)
+    return pre @ intertwiner_core(n) @ post
 
 
 def _diagonal_inverse(d: ExactMatrix) -> ExactMatrix:
@@ -289,9 +274,9 @@ def ao_transition_inverse(n: int) -> ExactMatrix:
 @lru_cache(maxsize=None)
 def intertwiner_inverse(n: int) -> ExactMatrix:
     """Exact inverse through the factorization."""
-    return _factored_inverse(intertwiner_pre_factor(n),
-                             intertwiner_core(n).inverse_upper_triangular(),
-                             intertwiner_post_factor(n))
+    pre, post = intertwiner_factors(n)
+    return _factored_inverse(
+        pre, intertwiner_core(n).inverse_upper_triangular(), post)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +291,7 @@ def family_pencil(n: int, model: ModelId,
     Both families are affine in one scalar that is 1 at the EP: H_BH(z) =
     H(0) + z*(H_EP - H(0)), so c = z; H_AO(lambda) = D + sqrt(1 - damping) *
     (H_EP - D) with D the diagonal, so c = sqrt(1 - damping) (damping is
-    site-independent, see ``CouplingSchedule``).  A and B are the similarity
+    site-independent, see ``damping``).  A and B are the similarity
     transforms of the two parts; by linearity and canonical entries, A + c*B
     is structurally q_inv @ H(p) @ q.  ``frame`` is "transition" (the
     family's own EP transition matrix) or "intertwiner" (S, towards the

@@ -199,7 +199,7 @@ def ladder_d(n: int, model: ModelId, param) -> Fraction:
     param = Fraction(param)
     if model is ModelId.BH:
         return 1 - param * param
-    return models.CouplingSchedule(n).damping(param)
+    return models.damping(n, param)
 
 
 def ladder_poly(n: int, d: Fraction) -> ExactPolynomial:
@@ -218,8 +218,13 @@ def ladder_poly(n: int, d: Fraction) -> ExactPolynomial:
 def ladder_roots(n: int, d: Fraction) -> tuple[complex, ...]:
     """The roots (n-1-2k) sqrt(d), k = 0..n-1, rounded to floats: real for
     d >= 0, i (n-1-2k) sqrt(-d) for d < 0.  Sorted by (real, imag), with
-    every zero part +0.0."""
-    unit = sqrt(abs(d))
+    every zero part +0.0.  A |d| beyond the float range raises
+    ``DomainError``."""
+    try:
+        unit = sqrt(abs(d))
+    except OverflowError:
+        raise DomainError("the ladder step sqrt(|d|) overflows a float "
+                          "(|d| > 1.8e308)") from None
     steps = [m * unit + 0.0 for m in range(1 - n, n, 2)]  # -0.0 + 0.0 = 0.0
     if d >= 0:
         return tuple(complex(x, 0.0) for x in steps)

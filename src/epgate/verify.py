@@ -114,9 +114,8 @@ def check_intertwiner_factorization(n: int) -> VerificationReport:
     route ao_transition @ bh_transition^-1, and S @ S^-1 == S^-1 @ S == I."""
     started = time.perf_counter()
     via_transitions = models.ao_transition(n) @ models.bh_transition_inverse(n)
-    closed_form = (models.intertwiner_pre_factor(n)
-                   @ models.intertwiner_core(n)
-                   @ models.intertwiner_post_factor(n))
+    pre, post = models.intertwiner_factors(n)
+    closed_form = pre @ models.intertwiner_core(n) @ post
     s, s_inv = models.intertwiner(n), models.intertwiner_inverse(n)
     ident = ExactMatrix.identity(n)
     return _report(CheckId.INTERTWINER_FACTORIZATION, n, (), started,
@@ -232,7 +231,8 @@ def run_suite(n_values, checks=None,
     individual computations are scheduled.  ``checks`` defaults to all of
     them; similarity checks run at the default off-EP parameters.
     """
-    wanted = list(CheckId) if checks is None else [CheckId(c) for c in checks]
+    wanted = (list(CheckId) if checks is None
+              else list(dict.fromkeys(CheckId(c) for c in checks)))
     n_list = sorted(set(int(n) for n in n_values))
     reports: list[VerificationReport] = []
     for check in wanted:

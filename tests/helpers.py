@@ -28,6 +28,21 @@ def M(rows) -> ExactMatrix:
     return ExactMatrix(rows)
 
 
+def zeros(n_rows: int, n_cols: int) -> ExactMatrix:
+    return ExactMatrix([[0] * n_cols for _ in range(n_rows)])
+
+
+def transpose(m: ExactMatrix) -> ExactMatrix:
+    return ExactMatrix(zip(*m.rows()))
+
+
+def with_entry(m: ExactMatrix, i: int, j: int, value) -> ExactMatrix:
+    """Copy of ``m`` with entry (i, j) replaced."""
+    return ExactMatrix([[value if (r, c) == (i, j) else e
+                         for c, e in enumerate(row)]
+                        for r, row in enumerate(m.rows())])
+
+
 # ---------------------------------------------------------------------------
 # Golden matrices, transcribed by hand from the printed closed forms.
 # Products of two printed radicals (e.g. sqrt(5)*sqrt(2)) are entered with
@@ -230,7 +245,7 @@ def perturb_constructor(fn, where="corner", delta=1):
             i, j = 0, 0
         else:
             i, j = where
-        return m.with_entry(i, j, m[i, j] + delta)
+        return with_entry(m, i, j, m[i, j] + delta)
     return wrapper
 
 

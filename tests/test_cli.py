@@ -196,6 +196,19 @@ def test_spectrum_bad_grid(capsys):
     assert code == 2
 
 
+def test_spectrum_float_overflow_is_domain_error(capsys):
+    # sqrt(|1 - z^2|) leaves the float range at |z| ~ 1.34e154
+    code, out, err = run_cli(capsys, "spectrum", "--model", "bh", "--N", "4",
+                             "--grid", "1e200:1e200:1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    code, out, _ = run_cli(capsys, "spectrum", "--model", "bh", "--N", "4",
+                           "--grid", "1e150:1e150:1")
+    assert code == 0
+    assert "roots:" in out
+
+
 # ---------------------------------------------------------------------------
 # scenario
 # ---------------------------------------------------------------------------
@@ -223,6 +236,15 @@ def test_scenario_dimension_one_exits_2(capsys):
     assert code == 2
     assert out == ""
     assert "dimension" in err
+
+
+def test_scenario_empty_time_list_is_usage_error(capsys):
+    for t in (",", ""):
+        code, out, err = run_cli(capsys, "scenario", "--row", "2",
+                                 "--N", "3", "--t", t)
+        assert code == 2
+        assert out == ""
+        assert "names no time" in err
 
 
 def test_scenario_out_of_domain_time(capsys):

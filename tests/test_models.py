@@ -6,7 +6,6 @@ import pytest
 from epgate import models
 from epgate.matrices import ExactMatrix, ExactPolynomial
 from epgate.models import (
-    CouplingSchedule,
     DimensionError,
     DomainError,
     ModelId,
@@ -24,6 +23,7 @@ from helpers import (
     SIMILARITY_DEFINITIONS,
     T,
     similarity_family,
+    transpose,
 )
 
 
@@ -50,7 +50,7 @@ def test_bh_hamiltonian_is_complex_symmetric():
         n = rng.randint(2, 9)
         z = Fraction(rng.randint(-8, 8), rng.randint(1, 8))
         h = models.bh_hamiltonian(n, z)
-        assert h == h.transpose()
+        assert h == transpose(h)
         for k in range(n):
             assert h[k, k].as_gaussian().re == 0  # purely imaginary diagonal
 
@@ -102,14 +102,12 @@ def test_dimension_errors():
 
 
 def test_coupling_schedule():
-    assert CouplingSchedule(2).K == 1
-    assert CouplingSchedule(7).K == 3
     # damping vanishes at the exceptional point for every dimension
     for n in range(2, 10):
-        assert CouplingSchedule(n).damping(Fraction(0)) == 0
+        assert models.damping(n, Fraction(0)) == 0
     # K = 1 uses the linear damping; K = 3 the two-term sum
-    assert CouplingSchedule(2).damping(Fraction(1, 4)) == Fraction(1, 4)
-    assert CouplingSchedule(6).damping(Fraction(1, 4)) == \
+    assert models.damping(2, Fraction(1, 4)) == Fraction(1, 4)
+    assert models.damping(6, Fraction(1, 4)) == \
         Fraction(1, 4) + Fraction(1, 16)
 
 
@@ -189,6 +187,24 @@ def test_intertwiner_inverse_2x2_is_involution():
     s = models.intertwiner(2)
     assert models.intertwiner_inverse(2) == s
     assert s @ s == ExactMatrix.identity(2)
+
+
+def _alternating_signs(n: int) -> ExactMatrix:
+    return ExactMatrix.diagonal((-1) ** k for k in range(n))
+
+
+def test_intertwiner_core_inverse_is_sign_conjugation():
+    # R^-1 = Sigma @ R @ Sigma with Sigma = diag((-1)^k): the closed form a
+    # later change can use in place of back substitution
+    for n in range(2, 21):
+        sigma, core = _alternating_signs(n), models.intertwiner_core(n)
+        assert sigma @ core @ sigma == core.inverse_upper_triangular(), n
+
+
+def test_intertwiner_is_an_involution():
+    for n in range(2, 21):
+        s = models.intertwiner(n)
+        assert s @ s == ExactMatrix.identity(n), n
 
 
 # ---------------------------------------------------------------------------

@@ -155,8 +155,8 @@ def test_empty_list_renders_as_empty_array():
 
 def test_rendering_is_deterministic():
     a = models.intertwiner(5)
-    b = (models.intertwiner_pre_factor(5) @ models.intertwiner_core(5)
-         @ models.intertwiner_post_factor(5))
+    pre, post = models.intertwiner_factors(5)
+    b = pre @ models.intertwiner_core(5) @ post
     assert serialize.render_json(a) == serialize.render_json(b)
     assert serialize.render_text(a) == serialize.render_text(b)
 

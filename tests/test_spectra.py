@@ -140,8 +140,7 @@ def test_ladder_holds_on_the_whole_parameter_domain():
             assert char_poly_tridiagonal(n, ModelId.BH, z) == \
                 ladder_poly(n, ladder_d(n, ModelId.BH, z)), (n, z)
         lams = _ao_domain_proof_points(n)
-        schedule = models.CouplingSchedule(n)
-        assert len({schedule.damping(lam) for lam in lams}) == n // 2 + 1
+        assert len({models.damping(n, lam) for lam in lams}) == n // 2 + 1
         for lam in lams:
             assert char_poly_tridiagonal(n, ModelId.AO, lam) == \
                 ladder_poly(n, ladder_d(n, ModelId.AO, lam)), (n, lam)

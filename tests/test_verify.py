@@ -265,6 +265,14 @@ def test_run_suite_single_check_count(check, per_n):
     assert all(r.check is check and r.passed for r in reports)
 
 
+def test_run_suite_drops_duplicate_checks():
+    reports = run_suite([2], ["intertwine", "intertwine"])
+    assert len(reports) == 1
+    reports = run_suite([2], ["intertwine", "ep-schrodinger-bh", "intertwine"])
+    assert [r.check for r in reports] == [CheckId.EP_SCHRODINGER_BH,
+                                          CheckId.INTERTWINE]
+
+
 def test_run_suite_accepts_check_values():
     reports = run_suite([3], checks=["intertwine"])
     assert len(reports) == 1
