@@ -4,7 +4,9 @@ Two tridiagonal Hamiltonian families live here -- the complex-symmetric
 Bose-Hubbard chain H_BH(z) with exceptional points at z = +-1 and the real
 asymmetric anharmonic-oscillator chain H_AO(lambda) with its exceptional
 point at lambda = 0 -- together with the Jordan block, the binomial
-(Pascal-triangle) matrix, and the closed-form transition machinery:
+(Pascal-triangle) matrix, and the closed-form transition machinery.  Both
+Hamiltonians are built from ``jacobi_data``, their diagonal and coupling
+products read from the parameter, which the exact spectra also read:
 
 * ``bh_transition`` / ``ao_transition``: the matrices Q that carry each EP
   Hamiltonian to the nilpotent Jordan block, built as diagonal * pascal *
@@ -18,7 +20,8 @@ point at lambda = 0 -- together with the Jordan block, the binomial
 * the similarity-transformed Hamiltonian families used by the crossing
   scenarios (Jordan-basis and swapped-frame versions of both models).  Each
   is a pencil A + c(p)*B: A and B are transformed once per (n, model,
-  frame) by ``family_pencil``, so a sample costs O(n^2) scalar operations
+  frame) by ``family_pencil`` and read once as the left operand of the
+  fused product kernel, so a sample is one product with the column (1, c)
   instead of two dense products.
 
 All constructors are pure and exact; parameters are exact rationals.
@@ -31,7 +34,7 @@ from functools import lru_cache
 from enum import Enum
 from math import comb, factorial
 
-from .matrices import ExactMatrix, similarity
+from .matrices import ExactMatrix, _accumulate, _read_rows, similarity
 from .radicals import GaussianRational, RadicalSum, invert_monomial
 
 _ZERO = RadicalSum()
@@ -84,24 +87,6 @@ def damping(n: int, lam) -> Fraction:
 # Hamiltonian families
 # ---------------------------------------------------------------------------
 
-def bh_hamiltonian(n: int, z) -> ExactMatrix:
-    """Complex-symmetric tridiagonal family, dimension n, parameter z.
-
-    Diagonal i*(2k - n + 1)*z for k = 0..n-1; couplings sqrt(k*(n-k))
-    between rows k-1 and k on both off-diagonals.
-    """
-    _check_dimension(n)
-    z = _as_fraction(z)
-    rows = [[_ZERO] * n for _ in range(n)]
-    for k in range(n):
-        rows[k][k] = RadicalSum.gaussian(0, (2 * k - n + 1) * z)
-    for k in range(1, n):
-        g = RadicalSum.sqrt_int(k * (n - k))
-        rows[k - 1][k] = g
-        rows[k][k - 1] = g
-    return ExactMatrix(rows)
-
-
 def _coupling_scale(n: int, lam) -> Fraction:
     """1 - damping(lambda), the factor under every coupling's square root of
     the real asymmetric family; it must stay positive.  The coupling radicand
@@ -118,6 +103,46 @@ def _coupling_scale(n: int, lam) -> Fraction:
     return scale
 
 
+def jacobi_data(n: int, model: ModelId,
+                param) -> tuple[list[GaussianRational], list[Fraction]]:
+    """The tridiagonal data of a model Hamiltonian, read from its parameter:
+    the diagonal d_k, k = 0..n-1, and the products b_k = H[k-1][k] *
+    H[k][k-1] of paired couplings, k = 1..n-1.
+
+    BH: d_k = i*(2k - n + 1)*z and b_k = k*(n-k).  AO: d_k = 2k - n + 1 and
+    b_k = -k*(n-k)*(1 - damping), with lambda checked by ``_coupling_scale``.
+    Both Hamiltonian constructors are built from this data.
+    """
+    _check_dimension(n)
+    if model is ModelId.BH:
+        z = _as_fraction(param)
+        return ([GaussianRational(0, (2 * k - n + 1) * z) for k in range(n)],
+                [Fraction(k * (n - k)) for k in range(1, n)])
+    scale = _coupling_scale(n, param)
+    return ([GaussianRational(2 * k - n + 1) for k in range(n)],
+            [-k * (n - k) * scale for k in range(1, n)])
+
+
+def _tridiagonal(diagonal, sup, sub) -> ExactMatrix:
+    """diagonal[k] at (k, k), sup[k-1] at (k-1, k), sub[k-1] at (k, k-1)."""
+    n = len(diagonal)
+    return ExactMatrix([
+        [diagonal[i] if i == j else sup[i] if j == i + 1
+         else sub[j] if i == j + 1 else _ZERO for j in range(n)]
+        for i in range(n)])
+
+
+def bh_hamiltonian(n: int, z) -> ExactMatrix:
+    """Complex-symmetric tridiagonal family, dimension n, parameter z.
+
+    Diagonal i*(2k - n + 1)*z for k = 0..n-1; couplings sqrt(k*(n-k))
+    between rows k-1 and k on both off-diagonals.
+    """
+    d, b = jacobi_data(n, ModelId.BH, z)
+    g = [RadicalSum.sqrt_rational(x) for x in b]
+    return _tridiagonal(d, g, g)
+
+
 def ao_hamiltonian(n: int, lam) -> ExactMatrix:
     """Real asymmetric tridiagonal family, dimension n, parameter lambda >= 0.
 
@@ -125,16 +150,9 @@ def ao_hamiltonian(n: int, lam) -> ExactMatrix:
     plus sign on the superdiagonal and a minus sign on the subdiagonal.  The
     damping must stay below 1 so every radicand is positive.
     """
-    _check_dimension(n)
-    scale = _coupling_scale(n, lam)
-    rows = [[_ZERO] * n for _ in range(n)]
-    for k in range(n):
-        rows[k][k] = RadicalSum.of(Fraction(2 * k - n + 1))
-    for k in range(1, n):
-        g = RadicalSum.sqrt_rational(k * (n - k) * scale)
-        rows[k - 1][k] = g
-        rows[k][k - 1] = -g
-    return ExactMatrix(rows)
+    d, b = jacobi_data(n, ModelId.AO, lam)
+    g = [RadicalSum.sqrt_rational(-x) for x in b]
+    return _tridiagonal(d, g, [-x for x in g])
 
 
 def jordan_block(n: int, eta=0) -> ExactMatrix:
@@ -283,7 +301,6 @@ def intertwiner_inverse(n: int) -> ExactMatrix:
 # Similarity-transformed Hamiltonian families
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def family_pencil(n: int, model: ModelId,
                   frame: str) -> tuple[ExactMatrix, ExactMatrix]:
     """(A, B) with q_inv @ H(p) @ q = A + c(p) * B for every p in the domain.
@@ -309,16 +326,31 @@ def family_pencil(n: int, model: ModelId,
     return similarity(base, q, q_inv), similarity(ep - base, q, q_inv)
 
 
+@lru_cache(maxsize=None)
+def _pencil_operand(n: int, model: ModelId, frame: str):
+    """``family_pencil`` read once for the product kernel: A's rows, the
+    positions (i, j) where B is nonzero, and the left operand with one row
+    (A[i, j], B[i, j]) per such position."""
+    a, b = family_pencil(n, model, frame)
+    where = [(i, j) for i in range(n) for j in range(n) if b[i, j]]
+    pairs = ExactMatrix([(a[i, j], b[i, j]) for i, j in where])
+    return a.rows(), where, _read_rows(pairs)
+
+
 def _pencil_family(n: int, model: ModelId, frame: str, param) -> ExactMatrix:
-    """A + c(param) * B from ``family_pencil``: O(n^2) scalar work per call."""
+    """A + c(param) * B from ``family_pencil``: one fused product of the
+    pencil operand with the column (1, c); where B is zero, A's entry."""
     _check_dimension(n)
     if model is ModelId.BH:
         c = RadicalSum.of(_as_fraction(param))
     else:
         c = RadicalSum.sqrt_rational(_coupling_scale(n, param))
-    a, b = family_pencil(n, model, frame)
-    return ExactMatrix([[x + c * y if y else x for x, y in zip(ra, rb)]
-                        for ra, rb in zip(a.rows(), b.rows())])
+    a_rows, where, operand = _pencil_operand(n, model, frame)
+    rows = [list(r) for r in a_rows]
+    sample = _accumulate(operand, ExactMatrix([[1], [c]]))
+    for (i, j), (v,) in zip(where, sample.rows()):
+        rows[i][j] = v
+    return ExactMatrix(rows)
 
 
 def bh_in_jordan_basis(n: int, z) -> ExactMatrix:

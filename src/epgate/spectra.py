@@ -5,14 +5,15 @@ reports, conditioning.
 The characteristic polynomial of either Hamiltonian family is computed
 exactly through the three-term minor recurrence
 
-    p_k(E) = (E - d_(k-1)) p_(k-1)(E) - sub*sup * p_(k-2)(E),
+    p_k(E) = (E - d_(k-1)) p_(k-1)(E) - b_(k-1) p_(k-2)(E),
 
-where the sub*sup product of paired couplings is +-k(N-k)(1-damping) -- a
-plain rational -- so the recurrence never leaves Gaussian-rational
-coefficients even though the matrix entries are radicals.  It runs
-fraction-free: scaled by one integer so that every d and sub*sup is a
-Gaussian integer, on integer coefficient lists, with one division per
-coefficient at the end.
+with the diagonal d_k and the products b_k = sub*sup of paired couplings
+read from the model parameter by ``models.jacobi_data``: Gaussian
+rationals, although the matrix entries are radicals, so neither a matrix
+nor a radical is built.  It runs fraction-free: scaled by one integer so
+that every d and b is a Gaussian integer, on integer coefficient lists,
+with one division per coefficient at the end.  (A scenario sample's matrix
+is one fused product of its family's pencil, see ``models``.)
 
 Both families are the spin-(N-1)/2 representation of sl(2):
 H_BH(z) = 2(J_x + i z J_z) and H_AO(lambda) = 2(J_z + i c J_y) with
@@ -21,10 +22,12 @@ c = sqrt(1 - damping).  So each polynomial is the ladder
     prod_k (E^2 - (N-1-2k)^2 d),  times E for odd N,
 
 with d = 1 - z^2 (BH) or d = damping(lambda) (AO), and the exceptional
-point is exactly d = 0.  Every reported spectrum is certified by comparing
-the recurrence polynomial with the ladder at zero tolerance; the roots are
-then the roundings of (N-1-2k) sqrt(d), real exactly when d >= 0, which
-holds on the whole model domain (|z| <= 1, lambda >= 0).
+point is exactly d = 0.  The ladder's coefficient of E^(N-2j) is
+e_j (-d)^j, with e_j the elementary symmetric sums of the (N-1-2k)^2 from a
+per-N integer table.  Every reported spectrum is certified by comparing the
+recurrence polynomial with the ladder at zero tolerance; the roots are then
+the roundings of (N-1-2k) sqrt(d), real exactly when d >= 0, which holds on
+the whole model domain (|z| <= 1, lambda >= 0).
 
 ``find_roots`` (a simultaneous Aberth-Ehrlich iteration from a fixed,
 deterministic circle of starting points) is the independent float
@@ -35,7 +38,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, sqrt
+from functools import lru_cache
+from math import isqrt, lcm, ldexp, sqrt
+from sys import float_info
 
 import numpy as np
 
@@ -98,15 +103,16 @@ class ConditionEntry:
 
 
 def char_poly_tridiagonal(n: int, model: ModelId, param) -> ExactPolynomial:
-    """Exact monic characteristic polynomial of a model Hamiltonian,
-    specialized to its tridiagonal form."""
-    param = Fraction(param)
-    h = (models.bh_hamiltonian(n, param) if model is ModelId.BH
-         else models.ao_hamiltonian(n, param))
-    return _tridiagonal_char_poly(h)
+    """Exact monic characteristic polynomial of a model Hamiltonian, by the
+    recurrence on its tridiagonal data read from the parameter
+    (``models.jacobi_data``); no matrix is built."""
+    d, b = models.jacobi_data(n, model, Fraction(param))
+    return _recurrence(d, [GaussianRational(x) for x in b])
 
 
 def _tridiagonal_char_poly(h: ExactMatrix) -> ExactPolynomial:
+    """The recurrence on the tridiagonal data read from a matrix, for checks
+    that must see what a constructor built."""
     n = h.n_rows
     for i in range(n):
         for j in range(n):
@@ -114,9 +120,16 @@ def _tridiagonal_char_poly(h: ExactMatrix) -> ExactPolynomial:
                 raise StructureError(f"matrix is not tridiagonal at ({i},{j})")
     d = [h[k, k].as_gaussian() for k in range(n)]
     b = [(h[k - 1, k] * h[k, k - 1]).as_gaussian() for k in range(1, n)]
-    # fraction-free: with s*d_k and s^2*b_k Gaussian integers, the scaled
-    # q_k(F) = s^k p_k(F/s) satisfies q_k = (F - s d_k) q_(k-1) - s^2 b_k
-    # q_(k-2) in integers, and coefficient j of p_n is q_n's over s^(n-j)
+    return _recurrence(d, b)
+
+
+def _recurrence(d: list[GaussianRational],
+                b: list[GaussianRational]) -> ExactPolynomial:
+    """p_n of p_k = (E - d_(k-1)) p_(k-1) - b_(k-1) p_(k-2), fraction-free."""
+    n = len(d)
+    # with s*d_k and s^2*b_k Gaussian integers, the scaled q_k(F) =
+    # s^k p_k(F/s) satisfies q_k = (F - s d_k) q_(k-1) - s^2 b_k q_(k-2) in
+    # integers, and coefficient j of p_n is q_n's over s^(n-j)
     s = lcm(*(x.denominator for g in d + b for x in (g.re, g.im)))
     sd = [(_scaled(g.re, s), _scaled(g.im, s)) for g in d]
     sb = [(_scaled(g.re, s * s), _scaled(g.im, s * s)) for g in b]
@@ -202,16 +215,25 @@ def ladder_d(n: int, model: ModelId, param) -> Fraction:
     return models.damping(n, param)
 
 
-def ladder_poly(n: int, d: Fraction) -> ExactPolynomial:
-    """prod_k (E^2 - (n-1-2k)^2 d) over k < n // 2, times E for odd n."""
-    # coefficients in x = E^2, degree descending; multiply in each factor
-    coeffs = [Fraction(1)]
+@lru_cache(maxsize=None)
+def _ladder_sums(n: int) -> tuple[int, ...]:
+    """e_0..e_(n//2): the elementary symmetric sums of the squares
+    (n-1-2k)^2, k < n // 2."""
+    e = [1]
     for k in range(n // 2):
-        c = (n - 1 - 2 * k) ** 2 * d
-        coeffs = [a - c * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+        m = (n - 1 - 2 * k) ** 2
+        e = [a + m * b for a, b in zip(e + [0], [0] + e)]
+    return tuple(e)
+
+
+def ladder_poly(n: int, d: Fraction) -> ExactPolynomial:
+    """prod_k (E^2 - (n-1-2k)^2 d) over k < n // 2, times E for odd n:
+    coefficient n - 2j is e_j * (-d)^j."""
     out = [0] * (n + 1)
-    for j, c in enumerate(coeffs):
-        out[n - 2 * j] = c
+    power = Fraction(1)
+    for j, e in enumerate(_ladder_sums(n)):
+        out[n - 2 * j] = e * power
+        power *= -d
     return ExactPolynomial(out)
 
 
@@ -219,12 +241,21 @@ def ladder_roots(n: int, d: Fraction) -> tuple[complex, ...]:
     """The roots (n-1-2k) sqrt(d), k = 0..n-1, rounded to floats: real for
     d >= 0, i (n-1-2k) sqrt(-d) for d < 0.  Sorted by (real, imag), with
     every zero part +0.0.  A |d| beyond the float range raises
-    ``DomainError``."""
+    ``DomainError``; a nonzero |d| below the normal floats (2.2e-308) is
+    rooted from its numerator and denominator, so it does not round to the
+    exceptional point's d = 0."""
     try:
-        unit = sqrt(abs(d))
+        size = abs(float(d))
     except OverflowError:
         raise DomainError("the ladder step sqrt(|d|) overflows a float "
                           "(|d| > 1.8e308)") from None
+    if size >= float_info.min or not d:
+        unit = sqrt(size)
+    else:
+        # isqrt of |d| * 4^s with about 130 bits, scaled back by 2^-s
+        num, den = abs(d.numerator), d.denominator
+        s = (130 - num.bit_length() + den.bit_length()) // 2
+        unit = ldexp(isqrt((num << 2 * s) // den), -s)
     steps = [m * unit + 0.0 for m in range(1 - n, n, 2)]  # -0.0 + 0.0 = 0.0
     if d >= 0:
         return tuple(complex(x, 0.0) for x in steps)

@@ -184,10 +184,11 @@ def check_charpoly_similarity(n: int, model: ModelId, param,
 
 def check_ep_degeneracy(n: int, model: ModelId) -> VerificationReport:
     """The exact characteristic polynomial at the exceptional point is E**N:
-    total spectral collapse, certified with zero tolerance."""
+    total spectral collapse, certified with zero tolerance.  The polynomial
+    is read from the constructed EP matrix, so a faulty constructor shows."""
     started = time.perf_counter()
     value = models.ep_parameter_value(model)
-    p = spectra.char_poly_tridiagonal(n, model, value)
+    p = spectra._tridiagonal_char_poly(models.ep_hamiltonian(n, model))
     params: Params = ((models.ep_parameter_name(model), value),)
     return _report(CheckId.EP_TOTAL_DEGENERACY, n, params, started,
                    _poly_residual(p, ExactPolynomial.power(n)))

@@ -288,6 +288,20 @@ def gaussian_tridiagonal_char_poly(h: ExactMatrix) -> ExactPolynomial:
     return ExactPolynomial(prev1)
 
 
+def factor_by_factor_ladder_poly(n: int, d: Fraction) -> ExactPolynomial:
+    """Reference sl(2) ladder prod_k (E^2 - (n-1-2k)^2 d), k < n // 2, times
+    E for odd n: each factor multiplied in, in Fractions."""
+    # coefficients in x = E^2, degree descending
+    coeffs = [Fraction(1)]
+    for k in range(n // 2):
+        c = (n - 1 - 2 * k) ** 2 * d
+        coeffs = [a - c * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    out = [0] * (n + 1)
+    for j, c in enumerate(coeffs):
+        out[n - 2 * j] = c
+    return ExactPolynomial(out)
+
+
 # family name -> (Hamiltonian, q, q_inv) of its q_inv @ H @ q definition
 SIMILARITY_DEFINITIONS = {
     "bh_in_jordan_basis": (models.bh_hamiltonian, models.bh_transition,

@@ -1,9 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 from epgate import models, serialize
 from epgate.cli import main
 from helpers import GOLDEN_Q_BH
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -207,6 +215,27 @@ def test_spectrum_float_overflow_is_domain_error(capsys):
                            "--grid", "1e150:1e150:1")
     assert code == 0
     assert "roots:" in out
+
+
+def test_spectrum_ao_at_a_400_digit_lambda_finishes():
+    # the certified spectrum reads damping(lambda) from the parameter; built
+    # through the radical Hamiltonian it factored ~800-digit coupling
+    # radicands and did not finish in minutes
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "epgate", "spectrum", "--model", "ao", "--N",
+         "6", "--grid", "1e-400:1e-400:1", "--format", "json"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=30)
+    assert done.returncode == 0, done.stderr
+    (item,) = json.loads(done.stdout)
+    # sqrt(damping) = sqrt(1e-400 + 1e-800): below the normal floats, d
+    # must not round to the exceptional point's 0
+    want = [m * 1e-200 for m in (-5, -3, -1, 1, 3, 5)]
+    for (re, im), w in zip(item["roots"], want):
+        assert im == 0.0
+        assert re == pytest.approx(w, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -224,12 +224,15 @@ def test_frame_swaps_at_the_ep():
         assert models.bh_in_ao_frame(n, 1) == models.ao_hamiltonian(n, 0)
 
 
-# in-domain parameters per model: the EP, off-EP points, and z < 0 for BH
+# in-domain parameters per model: the EP, off-EP points, z < 0 for BH, the
+# pencil base alone (z = 0, c = 0), the opposite EP z = -1, and parameters
+# with a 2^40 denominator
 _PENCIL_PARAMS = {
     "bh": [Fraction(1), Fraction(1, 2), Fraction(3, 7), Fraction(1, 8),
-           Fraction(17, 64), Fraction(-1, 2)],
+           Fraction(17, 64), Fraction(-1, 2), Fraction(0), Fraction(-1),
+           Fraction(2 ** 40 - 1, 2 ** 40)],
     "ao": [Fraction(0), Fraction(1, 2), Fraction(3, 7), Fraction(1, 8),
-           Fraction(17, 64)],
+           Fraction(17, 64), Fraction(1, 2 ** 40)],
 }
 
 
@@ -237,6 +240,12 @@ _PENCIL_PARAMS = {
 def test_pencil_families_equal_per_sample_similarity(name):
     for n in (2, 3, 5, 8):
         for p in _PENCIL_PARAMS[name[:2]]:
+            if name[:2] == "ao" and n > 5 and p.denominator == 2 ** 40:
+                # from N = 6 on damping is no longer lambda alone, and the
+                # scalar sqrt(1 - damping) at N = 8 has the numerator
+                # 2^120 - 2^80 - 2^40 - 1 = 397 * 5564899609 * (a 79-bit
+                # prime): squarefree_decompose needs ~2^31 trial divisions
+                continue
             assert getattr(models, name)(n, p) == similarity_family(name, n, p)
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +24,7 @@ from epgate.spectra import (
     ladder_roots,
     reality_scan,
 )
-from helpers import gaussian_tridiagonal_char_poly
+from helpers import factor_by_factor_ladder_poly, gaussian_tridiagonal_char_poly
 
 
 # ---------------------------------------------------------------------------
@@ -62,9 +63,14 @@ _LAM = st.fractions(min_value=0, max_value=Fraction(15, 32),
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=2, max_value=20), _Z, _LAM)
 def test_hypothesis_integer_recurrence_matches_gaussian_recurrence(n, z, lam):
+    # the recurrence on data read from the parameter, on data read from the
+    # constructed matrix, and the plain Gaussian-rational reference agree
     from epgate.spectra import _tridiagonal_char_poly
-    for h in (models.bh_hamiltonian(n, z), models.ao_hamiltonian(n, lam)):
-        assert _tridiagonal_char_poly(h) == gaussian_tridiagonal_char_poly(h)
+    for model, p, h in ((ModelId.BH, z, models.bh_hamiltonian(n, z)),
+                        (ModelId.AO, lam, models.ao_hamiltonian(n, lam))):
+        from_matrix = _tridiagonal_char_poly(h)
+        assert char_poly_tridiagonal(n, model, p) == from_matrix
+        assert from_matrix == gaussian_tridiagonal_char_poly(h)
 
 
 def test_large_denominator_ao_polynomial_builds():
@@ -106,6 +112,35 @@ def test_ladder_examples():
     assert ladder_poly(3, Fraction(1, 4)) == ExactPolynomial([0, -1, 0, 1])
     for n in (2, 5, 9):
         assert ladder_poly(n, Fraction(0)) == ExactPolynomial.power(n)
+
+
+def test_integer_ladder_poly_matches_factor_by_factor_product():
+    ds = [Fraction(0), Fraction(1), Fraction(-3, 7), Fraction(9, 4),
+          Fraction(5, 2 ** 40), Fraction(-(10 ** 30) + 1, 10 ** 12)]
+    for n in range(1, 41):
+        for d in ds:
+            assert ladder_poly(n, d) == factor_by_factor_ladder_poly(n, d), \
+                (n, d)
+
+
+def test_ladder_roots_below_the_normal_floats():
+    # d = 1 - z^2 ~ 2e-448 rounds to the float 0.0; its roots +-2 sqrt(d)
+    # ~ +-2.83e-224 are normal floats and must not collapse to the EP
+    z = 1 - Fraction(1, 10 ** 448)
+    d = ladder_d(3, ModelId.BH, z)
+    assert d > 0 and float(d) == 0.0
+    with localcontext() as ctx:
+        ctx.prec = 40
+        root = float(2 * Decimal(d.numerator).sqrt()
+                     / Decimal(d.denominator).sqrt())
+    (report,) = reality_scan(3, ModelId.BH, [z])
+    assert report.roots[1] == 0j
+    assert report.roots[0].real == pytest.approx(-root, rel=1e-12)
+    assert report.roots[2].real == pytest.approx(root, rel=1e-12)
+    assert report.min_pair_gap > 0
+    # d < 0 just past the EP: the same roots, imaginary
+    assert ladder_roots(3, -d) == tuple(
+        complex(0.0, r.real) for r in report.roots)
 
 
 def test_ladder_roots_real_imaginary_and_zero():

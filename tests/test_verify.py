@@ -195,10 +195,24 @@ def test_fault_injection_charpoly_similarity(monkeypatch):
                                                "transition"))
 
 
+# The similarity side builds its pencil from the constructors, while the
+# recurrence side reads the Hamiltonian's data from the parameter: a faulty
+# constructor makes the two sides differ.
+
+@pytest.mark.parametrize("model", list(ModelId), ids=lambda m: m.value)
+def test_fault_injection_charpoly_similarity_hamiltonian(monkeypatch, model):
+    name = f"{model.value}_hamiltonian"
+    monkeypatch.setattr(models, name,
+                        perturb_constructor(getattr(models, name), where="diag"))
+    param = Fraction(1, 2) if model is ModelId.BH else Fraction(1, 8)
+    for frame in ("transition", "intertwiner"):
+        _assert_detected(check_charpoly_similarity(4, model, param, frame))
+
+
 # The transformed families read their frame through the lru-cached
-# ``models.family_pencil``; the conftest fixture empties it before the patch,
-# so the pencil is built from the patched constructor and a wrong frame
-# matrix still fails the checks that use it.
+# ``models._pencil_operand``; the conftest fixture empties it before the
+# patch, so the pencil is built from the patched constructor and a wrong
+# frame matrix still fails the checks that use it.
 
 def test_fault_injection_intertwiner_through_the_pencil(monkeypatch):
     monkeypatch.setattr(models, "intertwiner",
@@ -219,6 +233,12 @@ def test_fault_injection_ep_degeneracy(monkeypatch):
     monkeypatch.setattr(models, "bh_hamiltonian",
                         perturb_constructor(models.bh_hamiltonian, where="diag"))
     _assert_detected(check_ep_degeneracy(4, ModelId.BH))
+
+
+def test_fault_injection_ep_degeneracy_ao(monkeypatch):
+    monkeypatch.setattr(models, "ao_hamiltonian",
+                        perturb_constructor(models.ao_hamiltonian, where="diag"))
+    _assert_detected(check_ep_degeneracy(4, ModelId.AO))
 
 
 def test_literal_zero_interface_reading_fails_on_bh_rows():
