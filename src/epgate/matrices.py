@@ -2,7 +2,11 @@
 
 Everything here is exact: products, structural inverses, similarity
 transforms by proven inverse pairs, and the Faddeev-LeVerrier characteristic
-polynomial.  The only floating-point bridge is the Frobenius norm.
+polynomial.  Faddeev-LeVerrier is the general dense routine (demos, and the
+tests' reference); no check calls it, since every matrix a check takes a
+characteristic polynomial of is tridiagonal and read by the band
+recurrence in ``spectra``.  The only floating-point bridge is the Frobenius
+norm.
 
 A product is one fused fraction-free dot product per entry (the
 common-denominator idea of Bareiss, applied to a single dot product): integer

@@ -15,6 +15,14 @@ that every d and b is a Gaussian integer, on integer coefficient lists,
 with one division per coefficient at the end.  (A scenario sample's matrix
 is one fused product of its family's pencil, see ``models``.)
 
+The checks that must see what was built -- a similarity-transformed family,
+or a constructed EP matrix -- run the same recurrence on the matrix's own
+band (``_tridiagonal_char_poly``): there d_k and b_k are radical sums, so
+the integer coefficients are keyed by radicand, and the part off the band
+comes back with the polynomial, zero exactly for a tridiagonal matrix.
+That is O(N^2), against O(N^4) for the dense Faddeev-LeVerrier in
+``matrices``, which stays the general routine and the tests' reference.
+
 Both families are the spin-(N-1)/2 representation of sl(2):
 H_BH(z) = 2(J_x + i z J_z) and H_AO(lambda) = 2(J_z + i c J_y) with
 c = sqrt(1 - damping).  So each polynomial is the ladder
@@ -47,7 +55,9 @@ import numpy as np
 from . import models
 from .matrices import ExactMatrix, ExactPolynomial, StructureError
 from .models import DomainError, ModelId
-from .radicals import GaussianRational
+from .radicals import GaussianRational, RadicalSum, radicand_product
+
+_ZERO = RadicalSum()
 
 
 class ConvergenceError(RuntimeError):
@@ -110,17 +120,57 @@ def char_poly_tridiagonal(n: int, model: ModelId, param) -> ExactPolynomial:
     return _recurrence(d, [GaussianRational(x) for x in b])
 
 
-def _tridiagonal_char_poly(h: ExactMatrix) -> ExactPolynomial:
-    """The recurrence on the tridiagonal data read from a matrix, for checks
-    that must see what a constructor built."""
-    n = h.n_rows
-    for i in range(n):
-        for j in range(n):
-            if abs(i - j) > 1 and h[i, j]:
-                raise StructureError(f"matrix is not tridiagonal at ({i},{j})")
-    d = [h[k, k].as_gaussian() for k in range(n)]
-    b = [(h[k - 1, k] * h[k, k - 1]).as_gaussian() for k in range(1, n)]
-    return _recurrence(d, b)
+def _tridiagonal_char_poly(h: ExactMatrix
+                           ) -> tuple[ExactPolynomial, ExactMatrix]:
+    """The recurrence on the band of a matrix, for checks that must see what
+    a constructor or a similarity built, and ``off_band``: the matrix with
+    its band zeroed, exactly zero iff the matrix is tridiagonal (only then
+    is the polynomial the matrix's).
+
+    The band entries are any radical sums.  The recurrence runs
+    fraction-free like ``_recurrence``, on coefficients held as
+    {radicand: [re, im]} of Gaussian integers."""
+    rows = h.rows()
+    n = len(rows)
+    off_band = ExactMatrix._raw(tuple(
+        tuple(_ZERO if abs(i - j) <= 1 else e for j, e in enumerate(row))
+        for i, row in enumerate(rows)))
+    d = [rows[k][k].integer_terms() for k in range(n)]
+    b = [(rows[k - 1][k] * rows[k][k - 1]).integer_terms()
+         for k in range(1, n)]
+    s = lcm(*(den for terms in d + b for *_, den in terms))
+    sd = [_scaled_terms(t, s) for t in d]
+    sb = [{}] + [_scaled_terms(t, s * s) for t in b]
+    prev2, prev1 = [], [{1: [1, 0]}]
+    for k in range(n):
+        nxt = [{}] + [{m: list(v) for m, v in c.items()} for c in prev1]
+        for j, c in enumerate(prev1):
+            _sub_product(nxt[j], sd[k], c)
+        for j, c in enumerate(prev2):
+            _sub_product(nxt[j], sb[k], c)
+        prev1, prev2 = nxt, prev1
+    return ExactPolynomial(
+        RadicalSum.from_integer_sums(
+            {m: [re, im, s ** (n - j)] for m, (re, im) in c.items()})
+        for j, c in enumerate(prev1)), off_band
+
+
+def _scaled_terms(terms, s: int) -> dict[int, list[int]]:
+    """Integer terms (radicand, re, im, den) times s, a multiple of every
+    den, as {radicand: [re, im]}."""
+    return {m: [re * (s // den), im * (s // den)] for m, re, im, den in terms}
+
+
+def _sub_product(acc: dict, x: dict, y: dict):
+    """acc -= x * y on {radicand: [re, im]} Gaussian-integer radical sums."""
+    for m1, (xr, xi) in x.items():
+        for m2, (yr, yi) in y.items():
+            key, g = radicand_product(m1, m2)
+            t = acc.get(key)
+            if t is None:
+                t = acc[key] = [0, 0]
+            t[0] -= (xr * yr - xi * yi) * g
+            t[1] -= (xr * yi + xi * yr) * g
 
 
 def _recurrence(d: list[GaussianRational],

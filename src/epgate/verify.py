@@ -163,8 +163,10 @@ _SIMILARITY_FAMILIES = {
 
 def check_charpoly_similarity(n: int, model: ModelId, param,
                               frame: str = "transition") -> VerificationReport:
-    """The similarity-transformed Hamiltonian's dense (Faddeev-LeVerrier)
-    characteristic polynomial equals its family's tridiagonal recurrence.
+    """The similarity-transformed Hamiltonian is tridiagonal, and the
+    recurrence on its own band equals its family's recurrence read from the
+    parameter.  An entry off the band fails the report with the off-band
+    part as the residual.
 
     ``frame`` is "transition" (conjugation by the EP transition matrix) or
     "intertwiner" (conjugation by the intertwiner).
@@ -176,21 +178,23 @@ def check_charpoly_similarity(n: int, model: ModelId, param,
     transformed = getattr(models, _SIMILARITY_FAMILIES[model, frame])(n, param)
     params: Params = ((models.ep_parameter_name(model), param),
                       ("frame", Fraction(0 if frame == "transition" else 1)))
-    return _report(CheckId.CHARPOLY_SIMILARITY, n, params, started,
-                   _poly_residual(transformed.char_poly(),
-                                  spectra.char_poly_tridiagonal(n, model,
-                                                                param)))
+    poly, off_band = spectra._tridiagonal_char_poly(transformed)
+    return _report(CheckId.CHARPOLY_SIMILARITY, n, params, started, off_band,
+                   _poly_residual(poly, spectra.char_poly_tridiagonal(
+                       n, model, param)))
 
 
 def check_ep_degeneracy(n: int, model: ModelId) -> VerificationReport:
     """The exact characteristic polynomial at the exceptional point is E**N:
     total spectral collapse, certified with zero tolerance.  The polynomial
-    is read from the constructed EP matrix, so a faulty constructor shows."""
+    is read from the band of the constructed EP matrix, so a faulty
+    constructor shows; an entry off the band is reported as the residual."""
     started = time.perf_counter()
     value = models.ep_parameter_value(model)
-    p = spectra._tridiagonal_char_poly(models.ep_hamiltonian(n, model))
+    p, off_band = spectra._tridiagonal_char_poly(
+        models.ep_hamiltonian(n, model))
     params: Params = ((models.ep_parameter_name(model), value),)
-    return _report(CheckId.EP_TOTAL_DEGENERACY, n, params, started,
+    return _report(CheckId.EP_TOTAL_DEGENERACY, n, params, started, off_band,
                    _poly_residual(p, ExactPolynomial.power(n)))
 
 

@@ -24,7 +24,12 @@ from epgate.spectra import (
     ladder_roots,
     reality_scan,
 )
-from helpers import factor_by_factor_ladder_poly, gaussian_tridiagonal_char_poly
+from helpers import (
+    factor_by_factor_ladder_poly,
+    gaussian_tridiagonal_char_poly,
+    leibniz_char_poly,
+    random_radical,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +73,8 @@ def test_hypothesis_integer_recurrence_matches_gaussian_recurrence(n, z, lam):
     from epgate.spectra import _tridiagonal_char_poly
     for model, p, h in ((ModelId.BH, z, models.bh_hamiltonian(n, z)),
                         (ModelId.AO, lam, models.ao_hamiltonian(n, lam))):
-        from_matrix = _tridiagonal_char_poly(h)
+        from_matrix, off_band = _tridiagonal_char_poly(h)
+        assert off_band.is_zero()
         assert char_poly_tridiagonal(n, model, p) == from_matrix
         assert from_matrix == gaussian_tridiagonal_char_poly(h)
 
@@ -93,10 +99,56 @@ def test_coefficients_real_rational_and_traceless():
             assert not p.coefficients[n - 1]  # traceless family
 
 
-def test_tridiagonal_rejects_dense_matrix():
+def test_band_reader_off_band_of_dense_matrix():
+    # a dense matrix is read, not rejected: off_band is exactly its entries
+    # with |i - j| > 1, and the polynomial is its band's
     from epgate.spectra import _tridiagonal_char_poly
-    with pytest.raises(StructureError):
-        _tridiagonal_char_poly(models.bh_transition(3))
+    q = models.bh_transition(3)
+    poly, off_band = _tridiagonal_char_poly(q)
+    assert off_band == ExactMatrix([[0, 0, q[0, 2]], [0, 0, 0],
+                                    [q[2, 0], 0, 0]])
+    assert not off_band.is_zero()
+    band = ExactMatrix([[0 if abs(i - j) > 1 else q[i, j] for j in range(3)]
+                        for i in range(3)])
+    assert poly == band.char_poly()
+
+
+_TRANSFORMED = (("bh_in_jordan_basis", ModelId.BH),
+                ("bh_in_ao_frame", ModelId.BH),
+                ("ao_in_jordan_basis", ModelId.AO),
+                ("ao_in_bh_frame", ModelId.AO))
+
+
+def test_band_reader_matches_dense_char_poly_on_transformed_families():
+    # every similarity-transformed family is tridiagonal, and its band's
+    # recurrence is its dense Faddeev-LeVerrier polynomial
+    from epgate.spectra import _tridiagonal_char_poly
+    params = {ModelId.BH: [Fraction(0), Fraction(1, 2), Fraction(1),
+                           Fraction(-1)],
+              ModelId.AO: [Fraction(0), Fraction(1, 8), Fraction(1, 4)]}
+    for n in range(2, 11):
+        for name, model in _TRANSFORMED:
+            for v in params[model]:
+                h = getattr(models, name)(n, v)
+                poly, off_band = _tridiagonal_char_poly(h)
+                assert off_band.is_zero(), (n, name, v)
+                assert poly == h.char_poly(), (n, name, v)
+
+
+def test_band_reader_matches_leibniz_on_random_radical_bands():
+    # multi-term entries over mixed radicands, n <= 5
+    from epgate.spectra import _tridiagonal_char_poly
+    rng = random.Random(20260917)
+    for n in range(1, 6):
+        for _ in range(6):
+            h = ExactMatrix([
+                [random_radical(rng, max_terms=3, max_radicand=12,
+                                max_num=9, max_den=6)
+                 if abs(i - j) <= 1 else 0 for j in range(n)]
+                for i in range(n)])
+            poly, off_band = _tridiagonal_char_poly(h)
+            assert off_band.is_zero()
+            assert poly == ExactPolynomial(leibniz_char_poly(h)), n
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from epgate import models, scenarios
+from epgate.matrices import ExactMatrix
 from epgate.models import DimensionError, DomainError, ModelId
 from epgate.verify import (
     CheckId,
@@ -195,6 +196,24 @@ def test_fault_injection_charpoly_similarity(monkeypatch):
                                                "transition"))
 
 
+# The check reads the transformed matrix's band: an entry off the band is
+# a failed report whose residual is the off-band part, not a polynomial.
+
+@pytest.mark.parametrize("name,model", [
+    ("bh_in_jordan_basis", ModelId.BH), ("bh_in_ao_frame", ModelId.BH),
+    ("ao_in_jordan_basis", ModelId.AO), ("ao_in_bh_frame", ModelId.AO)])
+def test_fault_injection_charpoly_similarity_off_band(monkeypatch, name,
+                                                      model):
+    frame = "transition" if "jordan" in name else "intertwiner"
+    param = Fraction(1, 2) if model is ModelId.BH else Fraction(1, 8)
+    _assert_clean_pass(check_charpoly_similarity(5, model, param, frame))
+    monkeypatch.setattr(models, name,
+                        perturb_constructor(getattr(models, name)))
+    report = check_charpoly_similarity(5, model, param, frame)
+    _assert_detected(report)
+    assert report.residual == ExactMatrix([[0, 0, 0, 0, 1]] + [[0] * 5] * 4)
+
+
 # The similarity side builds its pencil from the constructors, while the
 # recurrence side reads the Hamiltonian's data from the parameter: a faulty
 # constructor makes the two sides differ.
@@ -239,6 +258,27 @@ def test_fault_injection_ep_degeneracy_ao(monkeypatch):
     monkeypatch.setattr(models, "ao_hamiltonian",
                         perturb_constructor(models.ao_hamiltonian, where="diag"))
     _assert_detected(check_ep_degeneracy(4, ModelId.AO))
+
+
+@pytest.mark.parametrize("model", list(ModelId), ids=lambda m: m.value)
+def test_fault_injection_ep_degeneracy_corner(monkeypatch, model):
+    # a non-tridiagonal EP matrix is a failed report, not an error
+    name = f"{model.value}_hamiltonian"
+    monkeypatch.setattr(models, name,
+                        perturb_constructor(getattr(models, name)))
+    report = check_ep_degeneracy(4, model)
+    _assert_detected(report)
+    assert report.residual == ExactMatrix([[0, 0, 0, 1]] + [[0] * 4] * 3)
+
+
+def test_charpoly_similarity_at_larger_n():
+    # the band recurrence proves every (model, frame) pair at N = 24 and 32
+    for n in (24, 32):
+        for model, param in ((ModelId.BH, Fraction(1, 2)),
+                             (ModelId.AO, Fraction(1, 8))):
+            for frame in ("transition", "intertwiner"):
+                _assert_clean_pass(
+                    check_charpoly_similarity(n, model, param, frame))
 
 
 def test_literal_zero_interface_reading_fails_on_bh_rows():
