@@ -130,7 +130,7 @@ def scenario_path(row: int, n: int,
 def hamiltonian_at(row: int, n: int, t) -> ExactMatrix:
     """The scenario Hamiltonian at time t: the left family for t < 0, the
     interface matrix at t = 0, the right family for t > 0."""
-    return _matrix_at(scenario_path(row, n), Fraction(t))
+    return _matrix_at(scenario_path(row, n), models._as_fraction(t))
 
 
 def _matrix_at(path: ScenarioPath, t: Fraction) -> ExactMatrix:
@@ -153,7 +153,7 @@ def sample_path(row: int, n: int, t_values) -> list[PathSample]:
     param = path.parametrization
     samples = []
     for t in t_values:
-        t = Fraction(t)
+        t = models._as_fraction(t)
         matrix = _matrix_at(path, t)
         name, side = ((param.left_name, param.left) if t <= 0
                       else (param.right_name, param.right))

@@ -2,24 +2,25 @@
 spectra, polynomial root finding, spectral-reality and degeneracy-approach
 reports, conditioning.
 
-The characteristic polynomial of either Hamiltonian family is computed
-exactly through the three-term minor recurrence
+The characteristic polynomial of a tridiagonal matrix is computed exactly
+through the three-term minor recurrence
 
     p_k(E) = (E - d_(k-1)) p_(k-1)(E) - b_(k-1) p_(k-2)(E),
 
-with the diagonal d_k and the products b_k = sub*sup of paired couplings
-read from the model parameter by ``models.jacobi_data``: Gaussian
-rationals, although the matrix entries are radicals, so neither a matrix
-nor a radical is built.  It runs fraction-free: scaled by one integer so
-that every d and b is a Gaussian integer, on integer coefficient lists,
-with one division per coefficient at the end.  (A scenario sample's matrix
-is one fused product of its family's pencil, see ``models``.)
+with the diagonal d_k and the products b_k = sub*sup of paired couplings.
+One routine, ``_recurrence``, runs it fraction-free on the integer terms
+(radicand, re, im, den) of d_k and b_k: scaled by one integer so that every
+term is a Gaussian integer, on integer coefficient lists per radicand, with
+one division per coefficient at the end.  It has two readers:
 
-The checks that must see what was built -- a similarity-transformed family,
-or a constructed EP matrix -- run the same recurrence on the matrix's own
-band (``_tridiagonal_char_poly``): there d_k and b_k are radical sums, so
-the integer coefficients are keyed by radicand, and the part off the band
-comes back with the polynomial, zero exactly for a tridiagonal matrix.
+* ``char_poly_tridiagonal`` reads d_k and b_k of a model Hamiltonian from
+  its parameter (``models.jacobi_data``): Gaussian rationals, so every
+  radicand is 1 and neither a matrix nor a radical is built.
+* ``_tridiagonal_char_poly`` reads them from a matrix's own band, for the
+  checks that must see what was built -- a similarity-transformed family or
+  a constructed EP matrix -- and returns the part off the band beside the
+  polynomial, zero exactly for a tridiagonal matrix.
+
 That is O(N^2), against O(N^4) for the dense Faddeev-LeVerrier in
 ``matrices``, which stays the general routine and the tests' reference.
 
@@ -55,7 +56,7 @@ import numpy as np
 from . import models
 from .matrices import ExactMatrix, ExactPolynomial, StructureError
 from .models import DomainError, ModelId
-from .radicals import GaussianRational, RadicalSum, radicand_product
+from .radicals import RadicalSum, radicand_product
 
 _ZERO = RadicalSum()
 
@@ -116,92 +117,64 @@ def char_poly_tridiagonal(n: int, model: ModelId, param) -> ExactPolynomial:
     """Exact monic characteristic polynomial of a model Hamiltonian, by the
     recurrence on its tridiagonal data read from the parameter
     (``models.jacobi_data``); no matrix is built."""
-    d, b = models.jacobi_data(n, model, Fraction(param))
-    return _recurrence(d, [GaussianRational(x) for x in b])
+    d, b = models.jacobi_data(n, model, param)
+    return _recurrence([_rational_terms(g.re, g.im) for g in d],
+                       [_rational_terms(x, 0) for x in b])
+
+
+def _rational_terms(re: Fraction, im: Fraction):
+    """re + im*i as integer terms ((1, re', im', den),), one denominator."""
+    den = lcm(re.denominator, im.denominator)
+    return ((1, re.numerator * den // re.denominator,
+             im.numerator * den // im.denominator, den),)
 
 
 def _tridiagonal_char_poly(h: ExactMatrix
                            ) -> tuple[ExactPolynomial, ExactMatrix]:
-    """The recurrence on the band of a matrix, for checks that must see what
-    a constructor or a similarity built, and ``off_band``: the matrix with
-    its band zeroed, exactly zero iff the matrix is tridiagonal (only then
-    is the polynomial the matrix's).
-
-    The band entries are any radical sums.  The recurrence runs
-    fraction-free like ``_recurrence``, on coefficients held as
-    {radicand: [re, im]} of Gaussian integers."""
+    """The recurrence on the band of a matrix, whose entries are any radical
+    sums, for checks that must see what a constructor or a similarity built,
+    and ``off_band``: the matrix with its band zeroed, exactly zero iff the
+    matrix is tridiagonal (only then is the polynomial the matrix's)."""
     rows = h.rows()
     n = len(rows)
     off_band = ExactMatrix._raw(tuple(
         tuple(_ZERO if abs(i - j) <= 1 else e for j, e in enumerate(row))
         for i, row in enumerate(rows)))
-    d = [rows[k][k].integer_terms() for k in range(n)]
-    b = [(rows[k - 1][k] * rows[k][k - 1]).integer_terms()
-         for k in range(1, n)]
+    return _recurrence(
+        [rows[k][k].integer_terms() for k in range(n)],
+        [(rows[k - 1][k] * rows[k][k - 1]).integer_terms()
+         for k in range(1, n)]), off_band
+
+
+def _recurrence(d, b) -> ExactPolynomial:
+    """p_n of p_k = (E - d_(k-1)) p_(k-1) - b_(k-1) p_(k-2), fraction-free,
+    for d_k and b_k given as integer terms (radicand, re, im, den)."""
+    n = len(d)
+    # with s*d_k and s^2*b_k Gaussian-integer terms, q_k(F) = s^k p_k(F/s)
+    # is q_k = (F - s d_k) q_(k-1) - s^2 b_k q_(k-2) in integers, and p_n's
+    # coefficient j is q_n's over s^(n-j); q_k is {radicand: (re, im) lists}
     s = lcm(*(den for terms in d + b for *_, den in terms))
-    sd = [_scaled_terms(t, s) for t in d]
-    sb = [{}] + [_scaled_terms(t, s * s) for t in b]
-    prev2, prev1 = [], [{1: [1, 0]}]
-    for k in range(n):
-        nxt = [{}] + [{m: list(v) for m, v in c.items()} for c in prev1]
-        for j, c in enumerate(prev1):
-            _sub_product(nxt[j], sd[k], c)
-        for j, c in enumerate(prev2):
-            _sub_product(nxt[j], sb[k], c)
+    prev2, prev1 = {}, {1: ([1], [0])}
+    for k, (dk, bk) in enumerate(zip(d, [()] + b)):
+        nxt = {m: ([0] + re, [0] + im) for m, (re, im) in prev1.items()}
+        for terms, scale, q in ((dk, s, prev1), (bk, s * s, prev2)):
+            for m1, xr, xi, den in terms:
+                xr, xi = xr * (scale // den), xi * (scale // den)
+                for m2, (re, im) in q.items():
+                    key, g = radicand_product(m1, m2)
+                    acc = nxt.get(key)
+                    if acc is None:
+                        acc = nxt[key] = ([0] * (k + 2), [0] * (k + 2))
+                    ar, ai = acc
+                    cr, ci = xr * g, xi * g
+                    for j, (vr, vi) in enumerate(zip(re, im)):
+                        ar[j] -= cr * vr - ci * vi
+                        ai[j] -= cr * vi + ci * vr
         prev1, prev2 = nxt, prev1
     return ExactPolynomial(
         RadicalSum.from_integer_sums(
-            {m: [re, im, s ** (n - j)] for m, (re, im) in c.items()})
-        for j, c in enumerate(prev1)), off_band
-
-
-def _scaled_terms(terms, s: int) -> dict[int, list[int]]:
-    """Integer terms (radicand, re, im, den) times s, a multiple of every
-    den, as {radicand: [re, im]}."""
-    return {m: [re * (s // den), im * (s // den)] for m, re, im, den in terms}
-
-
-def _sub_product(acc: dict, x: dict, y: dict):
-    """acc -= x * y on {radicand: [re, im]} Gaussian-integer radical sums."""
-    for m1, (xr, xi) in x.items():
-        for m2, (yr, yi) in y.items():
-            key, g = radicand_product(m1, m2)
-            t = acc.get(key)
-            if t is None:
-                t = acc[key] = [0, 0]
-            t[0] -= (xr * yr - xi * yi) * g
-            t[1] -= (xr * yi + xi * yr) * g
-
-
-def _recurrence(d: list[GaussianRational],
-                b: list[GaussianRational]) -> ExactPolynomial:
-    """p_n of p_k = (E - d_(k-1)) p_(k-1) - b_(k-1) p_(k-2), fraction-free."""
-    n = len(d)
-    # with s*d_k and s^2*b_k Gaussian integers, the scaled q_k(F) =
-    # s^k p_k(F/s) satisfies q_k = (F - s d_k) q_(k-1) - s^2 b_k q_(k-2) in
-    # integers, and coefficient j of p_n is q_n's over s^(n-j)
-    s = lcm(*(x.denominator for g in d + b for x in (g.re, g.im)))
-    sd = [(_scaled(g.re, s), _scaled(g.im, s)) for g in d]
-    sb = [(_scaled(g.re, s * s), _scaled(g.im, s * s)) for g in b]
-    # coefficient lists (real parts, imaginary parts), degree ascending
-    prev2 = ([1], [0])
-    prev1 = ([-sd[0][0], 1], [-sd[0][1], 0])
-    for k in range(1, n):
-        (dr, di), (br, bi) = sd[k], sb[k - 1]
-        re, im = [0] + prev1[0], [0] + prev1[1]
-        for (cr, ci), (xr, xi) in (((dr, di), prev1), ((br, bi), prev2)):
-            for j, (vr, vi) in enumerate(zip(xr, xi)):
-                re[j] -= cr * vr - ci * vi
-                im[j] -= cr * vi + ci * vr
-        prev1, prev2 = (re, im), prev1
-    return ExactPolynomial(
-        GaussianRational(Fraction(r, s ** (n - j)), Fraction(i, s ** (n - j)))
-        for j, (r, i) in enumerate(zip(*prev1)))
-
-
-def _scaled(x: Fraction, s: int) -> int:
-    """x * s for a multiple s of x's denominator."""
-    return x.numerator * (s // x.denominator)
+            {m: (re[j], im[j], s ** (n - j)) for m, (re, im) in prev1.items()})
+        for j in range(n + 1))
 
 
 def find_roots(p: FloatPolynomial, tol: float = 1e-12,
@@ -259,7 +232,7 @@ def _sorted_roots(z: np.ndarray) -> list[complex]:
 def ladder_d(n: int, model: ModelId, param) -> Fraction:
     """The square d of the ladder step: 1 - z^2 for BH, damping(lambda) for
     AO.  d = 0 exactly at the exceptional point."""
-    param = Fraction(param)
+    param = models._as_fraction(param)
     if model is ModelId.BH:
         return 1 - param * param
     return models.damping(n, param)
@@ -342,7 +315,7 @@ def _spectrum_report(n: int, model: ModelId,
 def reality_scan(n: int, model: ModelId, params) -> list[SpectrumReport]:
     """Spectrum reports over a parameter list inside the real-spectrum
     regime; reports come back ordered by parameter value."""
-    fracs = sorted(Fraction(p) for p in params)
+    fracs = sorted(models._as_fraction(p) for p in params)
     return [_spectrum_report(n, model, p) for p in fracs]
 
 
@@ -350,7 +323,8 @@ def degeneracy_scan(n: int, model: ModelId, params) -> list[SpectrumReport]:
     """Spectrum reports along a parameter sequence approaching the
     exceptional point, in the order given; the max pairwise root gap is the
     quantity expected to shrink."""
-    return [_spectrum_report(n, model, Fraction(p)) for p in params]
+    return [_spectrum_report(n, model, models._as_fraction(p))
+            for p in params]
 
 
 _FAMILIES = (

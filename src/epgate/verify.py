@@ -172,7 +172,7 @@ def check_charpoly_similarity(n: int, model: ModelId, param,
     "intertwiner" (conjugation by the intertwiner).
     """
     started = time.perf_counter()
-    param = Fraction(param)
+    param = models._as_fraction(param)
     if frame not in ("transition", "intertwiner"):
         raise DomainError(f"unknown frame {frame!r}")
     transformed = getattr(models, _SIMILARITY_FAMILIES[model, frame])(n, param)

@@ -26,9 +26,14 @@ CASES = {
     "gen_s-rc_N5.txt": (["gen", "--model", "s-rc", "--N", "5"], 0),
 }
 
-SCENARIO_GOLDEN = "scenario_row5_N3.json"
-SCENARIO_ARGV = ["scenario", "--row", "5", "--N", "3", "--t", "-1/4,0,1/4",
-                 "--format", "json"]
+# scenario golden file -> argv; row 3 at N = 5 carries both families and the
+# radicals sqrt(6), sqrt(61) and sqrt(366) in its matrices
+SCENARIO_CASES = {
+    "scenario_row5_N3.json": ["scenario", "--row", "5", "--N", "3",
+                              "--t", "-1/4,0,1/4", "--format", "json"],
+    "scenario_row3_N5.json": ["scenario", "--row", "3", "--N", "5",
+                              "--t", "-1/16,0,3/64", "--format", "json"],
+}
 
 
 def mask_timings(text: str) -> str:
@@ -52,14 +57,15 @@ def test_cli_output_matches_golden(capsys, name):
 
 
 def test_scenario_json_matches_golden(capsys):
-    code, out, err = run_cli(capsys, SCENARIO_ARGV)
-    assert code == 0 and err == ""
-    live = json.loads(out)
-    golden = json.loads((GOLDEN / SCENARIO_GOLDEN).read_text(encoding="utf-8"))
-    assert len(live) == len(golden)
-    for got, want in zip(live, golden):
-        got_roots, want_roots = got.pop("roots"), want.pop("roots")
-        assert json.dumps(got, indent=2) == json.dumps(want, indent=2)
-        assert len(got_roots) == len(want_roots)
-        for (gr, gi), (wr, wi) in zip(got_roots, want_roots):
-            assert abs(complex(gr, gi) - complex(wr, wi)) <= 1e-12
+    for name, argv in SCENARIO_CASES.items():
+        code, out, err = run_cli(capsys, argv)
+        assert code == 0 and err == "", name
+        live = json.loads(out)
+        golden = json.loads((GOLDEN / name).read_text(encoding="utf-8"))
+        assert len(live) == len(golden), name
+        for got, want in zip(live, golden):
+            got_roots, want_roots = got.pop("roots"), want.pop("roots")
+            assert json.dumps(got, indent=2) == json.dumps(want, indent=2)
+            assert len(got_roots) == len(want_roots)
+            for (gr, gi), (wr, wi) in zip(got_roots, want_roots):
+                assert abs(complex(gr, gi) - complex(wr, wi)) <= 1e-12

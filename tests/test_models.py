@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from epgate import models
+from epgate import models, scenarios, spectra, verify
 from epgate.matrices import ExactMatrix, ExactPolynomial
 from epgate.models import (
     DimensionError,
@@ -91,6 +91,28 @@ def test_ao_hamiltonian_domain_errors():
         models.ao_hamiltonian(2, 1)  # damping reaches 1
     with pytest.raises(NonPositiveRadicand):
         models.ao_hamiltonian(6, Fraction(3, 4))  # damping above 1 at K = 3
+
+
+# Entry points that take a model parameter or a scenario time.  A binary
+# float is refused like everywhere in the exact layer, not coerced: 0.1 would
+# arrive as 3602879701896397/2^55.
+FLOAT_ENTRY_POINTS = {
+    "char_poly_tridiagonal":
+        lambda x: spectra.char_poly_tridiagonal(3, ModelId.BH, x),
+    "ladder_d": lambda x: spectra.ladder_d(3, ModelId.BH, x),
+    "reality_scan": lambda x: spectra.reality_scan(3, ModelId.BH, [x]),
+    "degeneracy_scan": lambda x: spectra.degeneracy_scan(3, ModelId.BH, [x]),
+    "check_charpoly_similarity":
+        lambda x: verify.check_charpoly_similarity(3, ModelId.BH, x),
+    "sample_path": lambda x: scenarios.sample_path(1, 3, [-x]),
+    "hamiltonian_at": lambda x: scenarios.hamiltonian_at(1, 3, -x),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_ENTRY_POINTS))
+def test_float_parameters_are_refused(name):
+    with pytest.raises(DomainError, match="exact rationals"):
+        FLOAT_ENTRY_POINTS[name](0.1)
 
 
 def test_dimension_errors():

@@ -136,11 +136,13 @@ def test_band_reader_matches_dense_char_poly_on_transformed_families():
 
 
 def test_band_reader_matches_leibniz_on_random_radical_bands():
-    # multi-term entries over mixed radicands, n <= 5
+    # multi-term entries over mixed radicands; Leibniz is n!, so n = 6..8
+    # is checked against the dense Faddeev-LeVerrier instead, with a few
+    # dozen radicands per coefficient
     from epgate.spectra import _tridiagonal_char_poly
     rng = random.Random(20260917)
-    for n in range(1, 6):
-        for _ in range(6):
+    for n, count in [(n, 6) for n in range(1, 6)] + [(n, 4) for n in (6, 7, 8)]:
+        for _ in range(count):
             h = ExactMatrix([
                 [random_radical(rng, max_terms=3, max_radicand=12,
                                 max_num=9, max_den=6)
@@ -148,7 +150,8 @@ def test_band_reader_matches_leibniz_on_random_radical_bands():
                 for i in range(n)])
             poly, off_band = _tridiagonal_char_poly(h)
             assert off_band.is_zero()
-            assert poly == ExactPolynomial(leibniz_char_poly(h)), n
+            assert poly == (ExactPolynomial(leibniz_char_poly(h)) if n <= 5
+                            else h.char_poly()), n
 
 
 # ---------------------------------------------------------------------------
