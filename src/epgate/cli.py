@@ -26,6 +26,7 @@ from fractions import Fraction
 
 from . import models, scenarios, serialize, spectra, verify
 from .models import DimensionError, DomainError, ModelId
+from .radicals import InvalidRadicand
 
 
 class UsageError(ValueError):
@@ -235,7 +236,8 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
         return args.func(args)
-    except (UsageError, DomainError, DimensionError, OSError) as exc:
+    except (UsageError, DomainError, DimensionError, InvalidRadicand,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

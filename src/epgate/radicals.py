@@ -38,6 +38,9 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
+_TRIAL_BOUND = 2 ** 21
+
+
 @lru_cache(maxsize=None)
 def squarefree_decompose(n: int) -> tuple[int, int]:
     """Split a positive integer as n = f**2 * s with s squarefree.
@@ -46,7 +49,10 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     left then has no prime factor below d, so it is 1, p, p^2 or p*q, and
     one integer square root settles it.  The cost is O(n^(1/3)) divisions,
     which matters for the large radicands of AO couplings at parameters with
-    large denominators.
+    large denominators.  Division stops at d = 2^21, so no radicand costs
+    more than ~10^6 divisions: a cofactor then left above 2^63 has no prime
+    factor below 2^21 and may hold a square of a larger prime, so unless it
+    is a perfect square it raises ``InvalidRadicand``.
     """
     if n < 1:
         raise InvalidRadicand(f"radicand must be a positive integer, got {n}")
@@ -54,6 +60,14 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     rem = n
     d = 2
     while d * d * d <= rem:
+        if d > _TRIAL_BOUND:
+            r = isqrt(rem)
+            if r * r == rem:
+                return s, f * r
+            raise InvalidRadicand(
+                f"cannot split a {n.bit_length()}-bit radicand into square "
+                f"and squarefree parts: a {rem.bit_length()}-bit cofactor "
+                f"has no prime factor below 2^21")
         if rem % d == 0:
             e = 0
             while rem % d == 0:

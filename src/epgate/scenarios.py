@@ -145,10 +145,11 @@ def sample_path(row: int, n: int, t_values) -> list[PathSample]:
     """Sample a scenario at the given times: exact matrix, exact
     characteristic polynomial, and its closed-form roots per sample.
 
-    The polynomial is the tridiagonal recurrence of the family the sample is
-    similar to: the left side's for t <= 0, the right side's for t > 0.  It
-    is certified against the sl(2) ladder (``spectra.certified_spectrum``),
-    whose roots are reported."""
+    The polynomial is the sl(2) ladder of the family the sample is similar
+    to, at its parameter (the left side's for t <= 0, the right side's for
+    t > 0), with its closed-form roots: ``spectra.certified_spectrum``,
+    which proves the ladder to be the family's polynomial once per
+    (n, model)."""
     path = scenario_path(row, n)
     param = path.parametrization
     samples = []

@@ -33,10 +33,13 @@ c = sqrt(1 - damping).  So each polynomial is the ladder
 with d = 1 - z^2 (BH) or d = damping(lambda) (AO), and the exceptional
 point is exactly d = 0.  The ladder's coefficient of E^(N-2j) is
 e_j (-d)^j, with e_j the elementary symmetric sums of the (N-1-2k)^2 from a
-per-N integer table.  Every reported spectrum is certified by comparing the
-recurrence polynomial with the ladder at zero tolerance; the roots are then
-the roundings of (N-1-2k) sqrt(d), real exactly when d >= 0, which holds on
-the whole model domain (|z| <= 1, lambda >= 0).
+per-N integer table.  That factorization is proved once per (N, model) for
+the whole parameter domain (``_prove_ladder``): the recurrence polynomial
+and the ladder are compared at zero tolerance at one more parameter value
+than their common degree in the parameter.  Every reported spectrum is then
+the ladder at its own d, and its roots are the roundings of
+(N-1-2k) sqrt(d), real exactly when d >= 0, which holds on the whole model
+domain (|z| <= 1, lambda >= 0).
 
 ``find_roots`` (a simultaneous Aberth-Ehrlich iteration from a fixed,
 deterministic circle of starting points) is the independent float
@@ -56,7 +59,7 @@ import numpy as np
 from . import models
 from .matrices import ExactMatrix, ExactPolynomial, StructureError
 from .models import DomainError, ModelId
-from .radicals import RadicalSum, radicand_product
+from .radicals import GaussianRational, RadicalSum, radicand_product
 
 _ZERO = RadicalSum()
 
@@ -252,11 +255,14 @@ def _ladder_sums(n: int) -> tuple[int, ...]:
 def ladder_poly(n: int, d: Fraction) -> ExactPolynomial:
     """prod_k (E^2 - (n-1-2k)^2 d) over k < n // 2, times E for odd n:
     coefficient n - 2j is e_j * (-d)^j."""
-    out = [0] * (n + 1)
-    power = Fraction(1)
+    out = [_ZERO] * (n + 1)
+    num, den = -d.numerator, d.denominator
+    num_j, den_j = 1, 1
     for j, e in enumerate(_ladder_sums(n)):
-        out[n - 2 * j] = e * power
-        power *= -d
+        if num_j:
+            out[n - 2 * j] = RadicalSum._raw(
+                {1: GaussianRational(Fraction(e * num_j, den_j))})
+        num_j, den_j = num_j * num, den_j * den
     return ExactPolynomial(out)
 
 
@@ -285,18 +291,55 @@ def ladder_roots(n: int, d: Fraction) -> tuple[complex, ...]:
     return tuple(complex(0.0, y) for y in steps)
 
 
+def _proof_points(n: int, model: ModelId) -> list[Fraction]:
+    """Where ``_prove_ladder`` compares the two polynomials: z = 0..n for
+    BH; lambda = 0 and 1/j, j = 2..n//2 + 1, for AO, whose damping values
+    are distinct and below 1."""
+    if model is ModelId.BH:
+        return [Fraction(z) for z in range(n + 1)]
+    return [Fraction(0)] + [Fraction(1, j) for j in range(2, n // 2 + 2)]
+
+
+@lru_cache(maxsize=None)
+def _prove_ladder(n: int, model: ModelId) -> None:
+    """Prove, for every parameter of the model's domain at once, that the
+    recurrence polynomial (``char_poly_tridiagonal``) is the ladder of
+    ``ladder_d``; a mismatch raises ``StructureError`` and is not cached.
+
+    Each coefficient of the recurrence polynomial is a polynomial in the
+    parameter.  For BH it has degree <= n in z: the diagonal is linear in z
+    and the couplings are constant.  For AO it has degree <= n // 2 in
+    s = 1 - damping: the diagonal is constant, and only the products
+    -k(n-k)s of paired couplings enter, at most n // 2 of them in one term.
+    The ladder's coefficient e_j (-d)^j, j <= n // 2, has the same bounds,
+    with d = 1 - z^2 or d = 1 - s.  Two polynomials of degree <= D that
+    agree at D + 1 points are equal, so agreement at the n + 1 values of z
+    and the n // 2 + 1 distinct values of s of ``_proof_points`` is the
+    identity at every z and every lambda.
+    """
+    for p in _proof_points(n, model):
+        d = ladder_d(n, model, p)
+        if char_poly_tridiagonal(n, model, p) != ladder_poly(n, d):
+            raise StructureError(
+                f"{model.value} N={n} at {p}: the characteristic "
+                f"polynomial is not the sl(2) ladder with d = {d}")
+
+
 def certified_spectrum(n: int, model: ModelId, param
                        ) -> tuple[ExactPolynomial, tuple[complex, ...]]:
-    """The recurrence characteristic polynomial of a model Hamiltonian and
-    its closed-form roots, after proving exactly that the polynomial is the
-    ladder of ``ladder_d``; a mismatch raises ``StructureError``."""
-    poly = char_poly_tridiagonal(n, model, param)
+    """The characteristic polynomial of a model Hamiltonian and its
+    closed-form roots: ``ladder_poly`` and ``ladder_roots`` of ``ladder_d``
+    at ``param``.  The polynomial is the recurrence's by ``_prove_ladder``,
+    run once per (n, model); a failed proof raises ``StructureError``.  The
+    dimension and the parameter are checked as ``models.jacobi_data`` checks
+    them."""
+    models._check_dimension(n)
+    param = models._as_fraction(param)
+    if model is ModelId.AO:
+        models._coupling_scale(n, param)
+    _prove_ladder(n, model)
     d = ladder_d(n, model, param)
-    if poly != ladder_poly(n, d):
-        raise StructureError(
-            f"{model.value} N={n} at {param}: the characteristic "
-            f"polynomial is not the sl(2) ladder with d = {d}")
-    return poly, ladder_roots(n, d)
+    return ladder_poly(n, d), ladder_roots(n, d)
 
 
 def _spectrum_report(n: int, model: ModelId,

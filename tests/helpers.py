@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from epgate import models
+from epgate import models, spectra
 from epgate.matrices import ExactMatrix, ExactPolynomial, similarity
 from epgate.radicals import GaussianRational, RadicalSum
 
@@ -249,18 +249,20 @@ def perturb_constructor(fn, where="corner", delta=1):
     return wrapper
 
 
-# lru-cached constructors of epgate.models, collected before any test patches
-# the module
-_MODEL_CACHES = [fn for fn in vars(models).values()
+# lru caches of epgate.models (constructors) and epgate.spectra (the ladder
+# proof), collected before any test patches the modules
+_MODEL_CACHES = [fn for module in (models, spectra)
+                 for fn in vars(module).values()
                  if hasattr(fn, "cache_clear")
-                 and getattr(fn, "__module__", None) == "epgate.models"]
+                 and getattr(fn, "__module__", None) == module.__name__]
 
 
 @contextmanager
 def fresh_model_caches():
-    """Empty every models lru cache on entry and on exit, so a matrix built
-    while a constructor is patched cannot outlive the patch inside a cached
-    composite (intertwiner, transition inverses, ...)."""
+    """Empty every models and spectra lru cache on entry and on exit, so a
+    matrix built while a constructor is patched cannot outlive the patch
+    inside a cached composite (intertwiner, transition inverses, ...), and
+    a ladder proof made before a patch cannot hide it."""
     for fn in _MODEL_CACHES:
         fn.cache_clear()
     try:

@@ -217,17 +217,22 @@ def test_spectrum_float_overflow_is_domain_error(capsys):
     assert "roots:" in out
 
 
+def run_process(*argv, timeout):
+    """``python -m epgate`` in a child process, killed after ``timeout`` s."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "epgate", *argv], cwd=ROOT,
+                          env=env, capture_output=True, text=True,
+                          timeout=timeout)
+
+
 def test_spectrum_ao_at_a_400_digit_lambda_finishes():
     # the certified spectrum reads damping(lambda) from the parameter; built
     # through the radical Hamiltonian it factored ~800-digit coupling
     # radicands and did not finish in minutes
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-m", "epgate", "spectrum", "--model", "ao", "--N",
-         "6", "--grid", "1e-400:1e-400:1", "--format", "json"],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=30)
+    done = run_process("spectrum", "--model", "ao", "--N", "6", "--grid",
+                       "1e-400:1e-400:1", "--format", "json", timeout=30)
     assert done.returncode == 0, done.stderr
     (item,) = json.loads(done.stdout)
     # sqrt(damping) = sqrt(1e-400 + 1e-800): below the normal floats, d
@@ -280,6 +285,21 @@ def test_scenario_out_of_domain_time(capsys):
     code, _, _ = run_cli(capsys, "scenario", "--row", "1", "--N", "3",
                          "--t", "-5/2")
     assert code == 2
+
+
+@pytest.mark.parametrize("row, n, t", [
+    (3, 3, "1/1" + "0" * 400),  # coupling radicand 2 * (10^400 - 1) * 10^400
+    (2, 8, f"1/{2 ** 40}"),  # pencil scalar: (2^120 - 2^80 - 2^40 - 1) * 2^120
+])
+def test_scenario_radicand_that_cannot_be_split_is_refused(row, n, t):
+    # each radicand keeps a cofactor with no prime factor below 2^21 and
+    # two or more above it; trial division to its cube root ran for hours
+    done = run_process("scenario", "--row", str(row), "--N", str(n),
+                       "--t", t, timeout=20)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: cannot split a ")
+    assert len(done.stderr.splitlines()) == 1
 
 
 # ---------------------------------------------------------------------------

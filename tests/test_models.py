@@ -266,7 +266,8 @@ def test_pencil_families_equal_per_sample_similarity(name):
                 # from N = 6 on damping is no longer lambda alone, and the
                 # scalar sqrt(1 - damping) at N = 8 has the numerator
                 # 2^120 - 2^80 - 2^40 - 1 = 397 * 5564899609 * (a 79-bit
-                # prime): squarefree_decompose needs ~2^31 trial divisions
+                # prime), which squarefree_decompose cannot split below its
+                # trial bound and refuses with InvalidRadicand
                 continue
             assert getattr(models, name)(n, p) == similarity_family(name, n, p)
 

@@ -49,6 +49,17 @@ def test_squarefree_against_trial_division_oracle():
         assert f * f * s == n
 
 
+def test_squarefree_past_the_trial_bound():
+    # trial division stops at 2^21; a cofactor above 2^63 left without a
+    # prime factor below that is settled only when it is a perfect square
+    p, q = 2 ** 61 - 1, 2 ** 31 - 1  # Mersenne primes
+    assert squarefree_decompose(12 * p * p) == (3, 2 * p)
+    with pytest.raises(InvalidRadicand, match="no prime factor below 2"):
+        squarefree_decompose(12 * p * q)
+    # below 2^63 the d^3 <= rem cutoff ends the division first
+    assert squarefree_decompose(q * q * 12) == (3, 2 * q)
+
+
 def test_squarefree_rejects_nonpositive():
     with pytest.raises(InvalidRadicand):
         squarefree_decompose(0)

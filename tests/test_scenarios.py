@@ -2,15 +2,16 @@ from fractions import Fraction
 
 import pytest
 
-from epgate import models
+from epgate import models, spectra
 from epgate.matrices import ExactPolynomial
-from epgate.models import DimensionError, DomainError
+from epgate.models import DimensionError, DomainError, ModelId
 from epgate.scenarios import (
     ROW_LABELS,
     hamiltonian_at,
     sample_path,
     scenario_path,
 )
+from epgate.spectra import char_poly_tridiagonal, ladder_d, ladder_roots
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +163,7 @@ def test_sample_path_propagates_domain_error():
         sample_path(1, 3, [Fraction(-3)])
 
 
-# the recurrence polynomial a sample reports is the dense Faddeev-LeVerrier
+# the ladder polynomial a sample reports is the dense Faddeev-LeVerrier
 # polynomial of the sampled matrix
 @pytest.mark.parametrize("t", [Fraction(-1, 4), Fraction(0), Fraction(1, 8)],
                          ids=str)
@@ -171,3 +172,49 @@ def test_sample_path_propagates_domain_error():
 def test_sample_char_poly_is_dense_char_poly(row, n, t):
     (sample,) = sample_path(row, n, [t])
     assert sample.matrix.char_poly() == sample.char_poly
+
+
+def _sampled_family(row, t):
+    """The model and parameter of the side a sample at t is read from,
+    written out from the row table: t <= 0 is the left side."""
+    bh_left = row <= 3
+    if (t <= 0) == bh_left:
+        return ModelId.BH, (1 + t if bh_left else 1 - t)
+    return ModelId.AO, (t if bh_left else -t)
+
+
+@pytest.mark.parametrize("row", range(1, 7))
+def test_sample_is_the_recurrence_of_its_family(row):
+    # the identity each sample reads from the once-per-(N, model) proof
+    # instead of re-proving it
+    for n in (2, 3, 4, 5, 8, 12):
+        ts = [Fraction(0), Fraction(1, 64), Fraction(-1, 64),
+              Fraction(5, 16), Fraction(-5, 16)]
+        if n <= 5:  # the 2^-40 coupling radicands split only at small N
+            ts += [Fraction(1, 2 ** 40), Fraction(-1, 2 ** 40)]
+        for sample in sample_path(row, n, ts):
+            model, param = _sampled_family(row, sample.t)
+            assert sample.char_poly == \
+                char_poly_tridiagonal(n, model, param), (n, sample.t)
+            assert sample.roots == \
+                ladder_roots(n, ladder_d(n, model, param)), (n, sample.t)
+
+
+def test_sample_path_proves_each_ladder_once(monkeypatch):
+    calls = []
+    original = spectra.char_poly_tridiagonal
+
+    def counted(n, model, param):
+        calls.append((n, model))
+        return original(n, model, param)
+
+    monkeypatch.setattr(spectra, "char_poly_tridiagonal", counted)
+    ts = [Fraction(-1, 4), Fraction(0), Fraction(1, 8), Fraction(1, 4)]
+    sample_path(2, 8, ts)
+    assert sorted(calls, key=str) == sorted(
+        [(8, model) for model in ModelId
+         for _ in spectra._proof_points(8, model)], key=str)
+    calls.clear()
+    sample_path(2, 8, ts)
+    sample_path(5, 8, ts)
+    assert calls == []

@@ -216,6 +216,18 @@ def _ao_domain_proof_points(n):
     return [Fraction(0)] + [Fraction(1, j) for j in range(2, n // 2 + 2)]
 
 
+def test_proof_points_count_degree_plus_one_inside_the_domain():
+    for n in range(2, 41):
+        zs = spectra._proof_points(n, ModelId.BH)
+        assert len(set(zs)) == len(zs) == n + 1
+        lams = spectra._proof_points(n, ModelId.AO)
+        assert lams == _ao_domain_proof_points(n)
+        assert len({models.damping(n, lam) for lam in lams}) == n // 2 + 1
+        for model, points in ((ModelId.BH, zs), (ModelId.AO, lams)):
+            for p in points:
+                models.jacobi_data(n, model, p)  # raises outside the domain
+
+
 def test_ladder_holds_on_the_whole_parameter_domain():
     # The recurrence polynomial has degree <= N in z (diagonal linear in z,
     # couplings constant), and for AO degree <= N // 2 in s = 1 - damping
@@ -315,6 +327,28 @@ def test_perturbed_ladder_raises_structure_error(monkeypatch, target):
         reality_scan(4, ModelId.AO, [Fraction(1, 8)])
     with pytest.raises(StructureError):
         reality_scan(5, ModelId.BH, [Fraction(1, 2)])
+
+
+def test_perturbed_jacobi_data_fails_the_proof(monkeypatch):
+    original = models.jacobi_data
+
+    def perturbed(n, model, param):
+        d, b = original(n, model, param)
+        return d, [2 * b[0]] + b[1:]
+
+    monkeypatch.setattr(models, "jacobi_data", perturbed)
+    for _ in range(2):  # a failed proof is not cached
+        with pytest.raises(StructureError):
+            sample_path(1, 4, [Fraction(-1, 4)])
+        with pytest.raises(StructureError):
+            sample_path(3, 5, [Fraction(1, 8)])
+        with pytest.raises(StructureError):
+            reality_scan(4, ModelId.AO, [Fraction(1, 8)])
+        with pytest.raises(StructureError):
+            reality_scan(5, ModelId.BH, [Fraction(1, 2)])
+    monkeypatch.undo()
+    (report,) = reality_scan(5, ModelId.BH, [Fraction(1, 2)])
+    assert report.roots == ladder_roots(5, Fraction(3, 4))
 
 
 # ---------------------------------------------------------------------------
