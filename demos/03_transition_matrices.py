@@ -3,13 +3,14 @@
 
 from epgate import (
     ExactMatrix,
-    bh_transition,
-    bh_transition_inverse,
-    ao_transition,
-    ao_transition_inverse,
+    ModelId,
     pascal_matrix,
+    transition,
+    transition_inverse,
 )
-from epgate.models import ModelId, transition_factors
+from epgate.models import transition_factors
+
+BH, AO = ModelId.BH, ModelId.AO
 
 # Both families share the same combinatorial core: the binomial matrix with
 # rows of Pascal's triangle stacked upside down.
@@ -21,22 +22,22 @@ print()
 # transition matrix of the complex-symmetric family in closed form, at any
 # dimension.
 n = 6
-pre, post = transition_factors(n, ModelId.BH)
-assert bh_transition(n) == pre @ pascal_matrix(n) @ post
-print(bh_transition(n))
+pre, post = transition_factors(n, BH)
+assert transition(n, BH) == pre @ pascal_matrix(n) @ post
+print(transition(n, BH))
 print()
 
 # The real family uses the same skeleton without the complex phases.
-pre, post = transition_factors(5, ModelId.AO)
-assert ao_transition(5) == pre @ pascal_matrix(5) @ post
-print(ao_transition(5))
+pre, post = transition_factors(5, AO)
+assert transition(5, AO) == pre @ pascal_matrix(5) @ post
+print(transition(5, AO))
 print()
 
 # The factorization also delivers exact inverses: diagonals invert termwise
 # and the binomial matrix has an integer inverse, so Q @ Q^-1 is exactly the
 # identity, not approximately.
 for n in (2, 6, 12):
-    assert bh_transition(n) @ bh_transition_inverse(n) == ExactMatrix.identity(n)
-    assert ao_transition_inverse(n) @ ao_transition(n) == ExactMatrix.identity(n)
+    assert transition(n, BH) @ transition_inverse(n, BH) == ExactMatrix.identity(n)
+    assert transition_inverse(n, AO) @ transition(n, AO) == ExactMatrix.identity(n)
 print("exact inverses verified for N = 2, 6, 12")
-print(bh_transition_inverse(2))
+print(transition_inverse(2, BH))

@@ -3,14 +3,13 @@
 # transition matrices carry them to the canonical Jordan block instead.
 
 from epgate import (
+    ModelId,
     bh_hamiltonian,
     bh_in_jordan_basis,
-    bh_transition,
-    ao_hamiltonian,
     ao_in_jordan_basis,
-    ao_transition,
     jordan_block,
     run_suite,
+    transition,
 )
 from epgate.verify import CheckId
 
@@ -18,7 +17,7 @@ from epgate.verify import CheckId
 # columns of Q chain into each other instead of being eigenvectors.
 n = 5
 h = bh_hamiltonian(n, 1)
-q = bh_transition(n)
+q = transition(n, ModelId.BH)
 j = jordan_block(n, 0)
 assert h @ q == q @ j
 print("H @ Q == Q @ J(0) exactly at N =", n)

@@ -4,19 +4,20 @@
 
 from epgate import (
     ExactMatrix,
+    ModelId,
     ao_hamiltonian,
-    ao_transition,
     bh_hamiltonian,
-    bh_transition_inverse,
     intertwiner,
     intertwiner_core,
     intertwiner_inverse,
+    transition,
+    transition_inverse,
 )
 from epgate.models import intertwiner_factors
 
 # S can be computed as a product of the two transition matrices ...
 n = 5
-via_transitions = ao_transition(n) @ bh_transition_inverse(n)
+via_transitions = transition(n, ModelId.AO) @ transition_inverse(n, ModelId.BH)
 
 # ... but it also has its own three-factor closed form: powers of (-1+i) on
 # the diagonals and a strictly real upper-triangular core of square roots of

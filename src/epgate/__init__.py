@@ -34,19 +34,17 @@ from .models import (
     ao_hamiltonian,
     ao_in_bh_frame,
     ao_in_jordan_basis,
-    ao_transition,
-    ao_transition_inverse,
     bh_hamiltonian,
     bh_in_ao_frame,
     bh_in_jordan_basis,
-    bh_transition,
-    bh_transition_inverse,
     damping,
     intertwiner,
     intertwiner_core,
     intertwiner_inverse,
     jordan_block,
     pascal_matrix,
+    transition,
+    transition_inverse,
 )
 from .verify import CheckId, VerificationReport, run_suite
 from .spectra import (
@@ -90,13 +88,9 @@ __all__ = [
     "ao_hamiltonian",
     "ao_in_bh_frame",
     "ao_in_jordan_basis",
-    "ao_transition",
-    "ao_transition_inverse",
     "bh_hamiltonian",
     "bh_in_ao_frame",
     "bh_in_jordan_basis",
-    "bh_transition",
-    "bh_transition_inverse",
     "char_poly_tridiagonal",
     "condition_report",
     "damping",
@@ -115,4 +109,6 @@ __all__ = [
     "scenario_path",
     "similarity",
     "squarefree_decompose",
+    "transition",
+    "transition_inverse",
 ]

@@ -84,12 +84,12 @@ def _parse_t_list(text: str) -> list[Fraction]:
 
 
 _GEN_BUILDERS = {
-    "q-bh": lambda n, p: models.bh_transition(n),
-    "q-ao": lambda n, p: models.ao_transition(n),
-    "s-rc": lambda n, p: models.intertwiner(n),
-    "r": lambda n, p: models.intertwiner_core(n),
-    "pascal": lambda n, p: models.pascal_matrix(n),
-    "jordan": lambda n, p: models.jordan_block(n, 0),
+    "q-bh": lambda n: models.transition(n, ModelId.BH),
+    "q-ao": lambda n: models.transition(n, ModelId.AO),
+    "s-rc": lambda n: models.intertwiner(n),
+    "r": lambda n: models.intertwiner_core(n),
+    "pascal": lambda n: models.pascal_matrix(n),
+    "jordan": lambda n: models.jordan_block(n, 0),
 }
 
 
@@ -108,7 +108,7 @@ def _cmd_gen(args) -> int:
     else:
         if args.z is not None or args.lambda_ is not None:
             raise UsageError(f"--z/--lambda do not apply to {args.model}")
-        matrix = _GEN_BUILDERS[args.model](args.N, None)
+        matrix = _GEN_BUILDERS[args.model](args.N)
     serialize.emit(matrix, args.format, args.out)
     return 0
 

@@ -8,9 +8,9 @@ point at lambda = 0 -- together with the Jordan block, the binomial
 Hamiltonians are built from ``jacobi_data``, their diagonal and coupling
 products read from the parameter, which the exact spectra also read:
 
-* ``bh_transition`` / ``ao_transition``: the matrices Q that carry each EP
-  Hamiltonian to the nilpotent Jordan block, built as diagonal * pascal *
-  diagonal products whose two diagonals, ``transition_factors(n, model)``,
+* ``transition(n, model)``: the matrix Q that carries a family's EP
+  Hamiltonian to the nilpotent Jordan block, built as a diagonal * pascal *
+  diagonal product whose two diagonals, ``transition_factors(n, model)``,
   differ between the models only by a phase (i for BH, 1 for AO),
 * ``intertwiner``: the upper-triangular matrix S with S @ H_BH(1) =
   H_AO(0) @ S, built as diagonal * core * diagonal with a real
@@ -212,18 +212,11 @@ def transition_factors(n: int, model: ModelId) -> tuple[ExactMatrix, ExactMatrix
 
 
 @lru_cache(maxsize=None)
-def bh_transition(n: int) -> ExactMatrix:
-    """Transition matrix of the complex-symmetric family at its z = 1
-    exceptional point: pre @ pascal @ post."""
-    pre, post = transition_factors(n, ModelId.BH)
-    return pre @ pascal_matrix(n) @ post
-
-
-@lru_cache(maxsize=None)
-def ao_transition(n: int) -> ExactMatrix:
-    """Transition matrix of the real asymmetric family at its lambda = 0
-    exceptional point: pre @ pascal @ post."""
-    pre, post = transition_factors(n, ModelId.AO)
+def transition(n: int, model: ModelId) -> ExactMatrix:
+    """Transition matrix of a family at its exceptional point (z = 1 or
+    lambda = 0): pre @ pascal @ post.  Call it as ``transition(n, model)``;
+    a keyword call is a separate cache entry."""
+    pre, post = transition_factors(n, model)
     return pre @ pascal_matrix(n) @ post
 
 
@@ -276,16 +269,9 @@ def _factored_inverse(pre: ExactMatrix, core_inverse: ExactMatrix,
 
 
 @lru_cache(maxsize=None)
-def bh_transition_inverse(n: int) -> ExactMatrix:
-    """Exact inverse through the factorization."""
-    pre, post = transition_factors(n, ModelId.BH)
-    return _factored_inverse(pre, pascal_inverse(n), post)
-
-
-@lru_cache(maxsize=None)
-def ao_transition_inverse(n: int) -> ExactMatrix:
-    """Exact inverse through the factorization."""
-    pre, post = transition_factors(n, ModelId.AO)
+def transition_inverse(n: int, model: ModelId) -> ExactMatrix:
+    """Exact inverse of ``transition(n, model)`` through the factorization."""
+    pre, post = transition_factors(n, model)
     return _factored_inverse(pre, pascal_inverse(n), post)
 
 
@@ -387,19 +373,6 @@ def ep_hamiltonian(n: int, model: ModelId) -> ExactMatrix:
     return ao_hamiltonian(n, 0)
 
 
-def transition(n: int, model: ModelId) -> ExactMatrix:
-    """The transition matrix of a family's exceptional point."""
-    return bh_transition(n) if model is ModelId.BH else ao_transition(n)
-
-
-def transition_inverse(n: int, model: ModelId) -> ExactMatrix:
-    return (bh_transition_inverse(n) if model is ModelId.BH
-            else ao_transition_inverse(n))
-
-
-def ep_parameter_name(model: ModelId) -> str:
-    return "z" if model is ModelId.BH else "lambda"
-
-
-def ep_parameter_value(model: ModelId) -> Fraction:
-    return Fraction(1) if model is ModelId.BH else Fraction(0)
+# Each family's parameter name and its value at the exceptional point.
+EP_PARAMETER = {ModelId.BH: ("z", Fraction(1)),
+                ModelId.AO: ("lambda", Fraction(0))}

@@ -121,15 +121,8 @@ def char_poly_tridiagonal(n: int, model: ModelId, param) -> ExactPolynomial:
     recurrence on its tridiagonal data read from the parameter
     (``models.jacobi_data``); no matrix is built."""
     d, b = models.jacobi_data(n, model, param)
-    return _recurrence([_rational_terms(g.re, g.im) for g in d],
-                       [_rational_terms(x, 0) for x in b])
-
-
-def _rational_terms(re: Fraction, im: Fraction):
-    """re + im*i as integer terms ((1, re', im', den),), one denominator."""
-    den = lcm(re.denominator, im.denominator)
-    return ((1, re.numerator * den // re.denominator,
-             im.numerator * den // im.denominator, den),)
+    return _recurrence([RadicalSum.of(x).integer_terms() for x in d],
+                       [RadicalSum.of(x).integer_terms() for x in b])
 
 
 def _tridiagonal_char_poly(h: ExactMatrix
@@ -344,15 +337,14 @@ def certified_spectrum(n: int, model: ModelId, param
 
 def _spectrum_report(n: int, model: ModelId,
                      param: Fraction) -> SpectrumReport:
+    """The gaps are read from the sorted ladder: the widest pair is the two
+    ends, the closest is a pair of neighbours."""
     _, roots = certified_spectrum(n, model, param)
-    arr = np.array(roots)
-    gaps = np.abs(arr[:, None] - arr[None, :])
-    iu = np.triu_indices(len(roots), k=1)
     return SpectrumReport(
         N=n, model=model, param=float(param), roots=roots,
-        max_imag=float(np.max(np.abs(arr.imag))),
-        max_pair_gap=float(np.max(gaps[iu])),
-        min_pair_gap=float(np.min(gaps[iu])))
+        max_imag=max(abs(r.imag) for r in roots),
+        max_pair_gap=abs(roots[-1] - roots[0]),
+        min_pair_gap=min(abs(b - a) for a, b in zip(roots, roots[1:])))
 
 
 def reality_scan(n: int, model: ModelId, params) -> list[SpectrumReport]:
@@ -370,10 +362,15 @@ def degeneracy_scan(n: int, model: ModelId, params) -> list[SpectrumReport]:
             for p in params]
 
 
+# (family, Q, Q^-1), each constructor looked up on ``models`` when called, so
+# a patched one is the one measured.
 _FAMILIES = (
-    ("q-bh", models.bh_transition, models.bh_transition_inverse),
-    ("q-ao", models.ao_transition, models.ao_transition_inverse),
-    ("s-rc", models.intertwiner, models.intertwiner_inverse),
+    ("q-bh", lambda n: models.transition(n, ModelId.BH),
+     lambda n: models.transition_inverse(n, ModelId.BH)),
+    ("q-ao", lambda n: models.transition(n, ModelId.AO),
+     lambda n: models.transition_inverse(n, ModelId.AO)),
+    ("s-rc", lambda n: models.intertwiner(n),
+     lambda n: models.intertwiner_inverse(n)),
 )
 
 

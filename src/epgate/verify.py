@@ -79,8 +79,7 @@ def _poly_residual(left: ExactPolynomial, right: ExactPolynomial) -> ExactMatrix
 
 
 def _ep_params(model: ModelId) -> Params:
-    return ((models.ep_parameter_name(model),
-             models.ep_parameter_value(model)),)
+    return (models.EP_PARAMETER[model],)
 
 
 def check_ep_schrodinger(n: int, model: ModelId) -> VerificationReport:
@@ -111,9 +110,10 @@ def check_jordanization(n: int, model: ModelId) -> VerificationReport:
 
 def check_intertwiner_factorization(n: int) -> VerificationReport:
     """The closed-form product diag @ core @ diag equals the transition-matrix
-    route ao_transition @ bh_transition^-1, and S @ S^-1 == S^-1 @ S == I."""
+    route Q_AO @ Q_BH^-1, and S @ S^-1 == S^-1 @ S == I."""
     started = time.perf_counter()
-    via_transitions = models.ao_transition(n) @ models.bh_transition_inverse(n)
+    via_transitions = (models.transition(n, ModelId.AO)
+                       @ models.transition_inverse(n, ModelId.BH))
     pre, post = models.intertwiner_factors(n)
     closed_form = pre @ models.intertwiner_core(n) @ post
     s, s_inv = models.intertwiner(n), models.intertwiner_inverse(n)
@@ -176,7 +176,7 @@ def check_charpoly_similarity(n: int, model: ModelId, param,
     if frame not in ("transition", "intertwiner"):
         raise DomainError(f"unknown frame {frame!r}")
     transformed = getattr(models, _SIMILARITY_FAMILIES[model, frame])(n, param)
-    params: Params = ((models.ep_parameter_name(model), param),
+    params: Params = ((models.EP_PARAMETER[model][0], param),
                       ("frame", Fraction(0 if frame == "transition" else 1)))
     poly, off_band = spectra._tridiagonal_char_poly(transformed)
     return _report(CheckId.CHARPOLY_SIMILARITY, n, params, started, off_band,
@@ -190,12 +190,10 @@ def check_ep_degeneracy(n: int, model: ModelId) -> VerificationReport:
     is read from the band of the constructed EP matrix, so a faulty
     constructor shows; an entry off the band is reported as the residual."""
     started = time.perf_counter()
-    value = models.ep_parameter_value(model)
     p, off_band = spectra._tridiagonal_char_poly(
         models.ep_hamiltonian(n, model))
-    params: Params = ((models.ep_parameter_name(model), value),)
-    return _report(CheckId.EP_TOTAL_DEGENERACY, n, params, started, off_band,
-                   _poly_residual(p, ExactPolynomial.power(n)))
+    return _report(CheckId.EP_TOTAL_DEGENERACY, n, _ep_params(model), started,
+                   off_band, _poly_residual(p, ExactPolynomial.power(n)))
 
 
 _DEFAULT_SIMILARITY_PARAMS = {ModelId.BH: Fraction(1, 2),

@@ -11,6 +11,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from epgate import models, spectra
+from epgate.models import ModelId
 from epgate.matrices import ExactMatrix, ExactPolynomial, similarity
 from epgate.radicals import GaussianRational, RadicalSum
 
@@ -306,10 +307,12 @@ def factor_by_factor_ladder_poly(n: int, d: Fraction) -> ExactPolynomial:
 
 # family name -> (Hamiltonian, q, q_inv) of its q_inv @ H @ q definition
 SIMILARITY_DEFINITIONS = {
-    "bh_in_jordan_basis": (models.bh_hamiltonian, models.bh_transition,
-                           models.bh_transition_inverse),
-    "ao_in_jordan_basis": (models.ao_hamiltonian, models.ao_transition,
-                           models.ao_transition_inverse),
+    "bh_in_jordan_basis": (models.bh_hamiltonian,
+                           lambda n: models.transition(n, ModelId.BH),
+                           lambda n: models.transition_inverse(n, ModelId.BH)),
+    "ao_in_jordan_basis": (models.ao_hamiltonian,
+                           lambda n: models.transition(n, ModelId.AO),
+                           lambda n: models.transition_inverse(n, ModelId.AO)),
     "bh_in_ao_frame": (models.bh_hamiltonian, models.intertwiner_inverse,
                        models.intertwiner),
     "ao_in_bh_frame": (models.ao_hamiltonian, models.intertwiner,

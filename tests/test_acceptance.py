@@ -65,9 +65,9 @@ def criterion(number: int, label: str, budget_s: float | None = None):
 def test_criterion_01_golden_reproduction_exact():
     with criterion(1, "golden reproduction, exact, < 1 s", budget_s=1.0):
         for n, expected in GOLDEN_Q_BH.items():
-            assert models.bh_transition(n) == expected
+            assert models.transition(n, ModelId.BH) == expected
         for n, expected in GOLDEN_Q_AO.items():
-            assert models.ao_transition(n) == expected
+            assert models.transition(n, ModelId.AO) == expected
         for n, expected in GOLDEN_S.items():
             assert models.intertwiner(n) == expected
         for n, expected in GOLDEN_R.items():
@@ -113,7 +113,7 @@ def test_criterion_06_full_ep_degeneracy_to_n16():
             for model in ModelId:
                 assert check_ep_degeneracy(n, model).passed, (n, model)
                 assert char_poly_tridiagonal(
-                    n, model, models.ep_parameter_value(model)) == \
+                    n, model, models.EP_PARAMETER[model][1]) == \
                     ExactPolynomial.power(n)
 
 
@@ -207,9 +207,9 @@ def test_criterion_11_property_suites():
         # fault injection flips every check to failed
         injections = [
             (lambda: check_ep_schrodinger(3, ModelId.BH),
-             "bh_transition", "corner"),
+             "transition", "corner"),
             (lambda: check_ep_schrodinger(3, ModelId.AO),
-             "ao_transition", "corner"),
+             "transition", "corner"),
             (lambda: check_jordanization(3, ModelId.BH),
              "bh_hamiltonian", "diag"),
             (lambda: check_jordanization(3, ModelId.AO),

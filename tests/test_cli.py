@@ -9,6 +9,7 @@ import pytest
 
 from epgate import models, serialize
 from epgate.cli import main
+from epgate.models import ModelId
 from helpers import GOLDEN_Q_BH
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -32,8 +33,8 @@ def test_gen_text_golden(capsys):
 
 def test_gen_matches_library_matrices(capsys):
     cases = {
-        ("q-bh", "6"): models.bh_transition(6),
-        ("q-ao", "5"): models.ao_transition(5),
+        ("q-bh", "6"): models.transition(6, ModelId.BH),
+        ("q-ao", "5"): models.transition(5, ModelId.AO),
         ("s-rc", "4"): models.intertwiner(4),
         ("r", "6"): models.intertwiner_core(6),
         ("pascal", "5"): models.pascal_matrix(5),

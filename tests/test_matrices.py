@@ -14,6 +14,7 @@ from epgate.matrices import (
     StructureError,
     similarity,
 )
+from epgate.models import ModelId
 from epgate.radicals import GaussianRational, RadicalSum
 from helpers import (
     GOLDEN_Q_BH,
@@ -61,7 +62,7 @@ def test_matmul_shape_error():
 def test_componentwise_ops():
     h = models.bh_hamiltonian(3, 1)
     assert (h - h).is_zero()
-    assert models.bh_transition(2) == GOLDEN_Q_BH[2]
+    assert models.transition(2, ModelId.BH) == GOLDEN_Q_BH[2]
     j = models.jordan_block(3, 0)
     assert j != transpose(j)
     with pytest.raises(ShapeError):
@@ -223,9 +224,9 @@ def test_similarity_identity():
 
 def test_similarity_jordanizes_ep_hamiltonian():
     h = models.bh_hamiltonian(2, 1)
-    q = models.bh_transition(2)
-    assert similarity(h, q, models.bh_transition_inverse(2)) == \
-        models.jordan_block(2, 0)
+    q, q_inv = (models.transition(2, ModelId.BH),
+                models.transition_inverse(2, ModelId.BH))
+    assert similarity(h, q, q_inv) == models.jordan_block(2, 0)
 
 
 def test_similarity_changes_noncommuting_matrix():
@@ -280,7 +281,8 @@ def test_char_poly_is_monic():
 
 def test_frobenius_norm():
     assert abs(ExactMatrix.identity(3).frobenius_norm() - math.sqrt(3)) < 1e-14
-    assert abs(models.bh_transition(2).frobenius_norm() - math.sqrt(3)) < 1e-14
+    q = models.transition(2, ModelId.BH)
+    assert abs(q.frobenius_norm() - math.sqrt(3)) < 1e-14
     assert zeros(3, 4).frobenius_norm() == 0.0
 
 

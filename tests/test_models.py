@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import epgate
 from epgate import models, scenarios, spectra, verify
 from epgate.matrices import ExactMatrix, ExactPolynomial
 from epgate.models import (
@@ -119,8 +120,9 @@ def test_dimension_errors():
     for fn in (models.bh_hamiltonian, models.ao_hamiltonian):
         with pytest.raises(DimensionError):
             fn(1, 0)
-    with pytest.raises(DimensionError):
-        models.bh_transition(1)
+    for model in ModelId:
+        with pytest.raises(DimensionError):
+            models.transition(1, model)
 
 
 def test_coupling_schedule():
@@ -164,12 +166,12 @@ def test_pascal_inverse_closed_form_is_gauss_jordan_inverse():
 
 def test_bh_transition_golden():
     for n, expected in GOLDEN_Q_BH.items():
-        assert models.bh_transition(n) == expected
+        assert models.transition(n, ModelId.BH) == expected
 
 
 def test_ao_transition_golden():
     for n, expected in GOLDEN_Q_AO.items():
-        assert models.ao_transition(n) == expected
+        assert models.transition(n, ModelId.AO) == expected
 
 
 def test_intertwiner_golden():
@@ -193,15 +195,18 @@ def test_intertwiner_diagonal_signs():
 # ---------------------------------------------------------------------------
 
 def test_bh_transition_inverse_2x2():
-    assert models.bh_transition_inverse(2) == \
+    assert models.transition_inverse(2, ModelId.BH) == \
         ExactMatrix([[0, 1], [1, GaussianRational(0, 1)]])
 
 
 def test_transition_inverses_multiply_back():
     for n in range(2, 9):
         ident = ExactMatrix.identity(n)
-        assert models.ao_transition(n) @ models.ao_transition_inverse(n) == ident
-        assert models.bh_transition_inverse(n) @ models.bh_transition(n) == ident
+        for model in ModelId:
+            q, q_inv = (models.transition(n, model),
+                        models.transition_inverse(n, model))
+            assert q @ q_inv == ident
+            assert q_inv @ q == ident
         assert models.intertwiner(n) @ models.intertwiner_inverse(n) == ident
 
 
@@ -292,8 +297,14 @@ def test_pencil_families_raise_like_the_definition(name):
 def test_ep_helpers():
     assert models.ep_hamiltonian(3, ModelId.BH) == models.bh_hamiltonian(3, 1)
     assert models.ep_hamiltonian(3, ModelId.AO) == models.ao_hamiltonian(3, 0)
-    assert models.ep_parameter_name(ModelId.BH) == "z"
-    assert models.ep_parameter_value(ModelId.AO) == 0
+    assert models.EP_PARAMETER == {ModelId.BH: ("z", 1),
+                                   ModelId.AO: ("lambda", 0)}
+
+
+def test_package_exports_resolve_once():
+    assert len(set(epgate.__all__)) == len(epgate.__all__)
+    assert [name for name in epgate.__all__
+            if not hasattr(epgate, name)] == []
 
 
 # ---------------------------------------------------------------------------

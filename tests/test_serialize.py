@@ -72,7 +72,7 @@ def test_matrix_text_round_trip():
     rng = random.Random(42)
     fixtures = [GOLDEN_Q_BH[3], GOLDEN_Q_BH[6], GOLDEN_S[5],
                 models.ao_hamiltonian(5, Fraction(1, 8)),
-                models.bh_transition_inverse(4)]
+                models.transition_inverse(4, ModelId.BH)]
     fixtures += [random_matrix(rng, 3) for _ in range(20)]
     for m in fixtures:
         assert serialize.parse_matrix_text(serialize.render_text(m)) == m

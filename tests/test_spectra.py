@@ -28,6 +28,7 @@ from helpers import (
     factor_by_factor_ladder_poly,
     gaussian_tridiagonal_char_poly,
     leibniz_char_poly,
+    perturb_constructor,
     random_radical,
 )
 
@@ -103,7 +104,7 @@ def test_band_reader_off_band_of_dense_matrix():
     # a dense matrix is read, not rejected: off_band is exactly its entries
     # with |i - j| > 1, and the polynomial is its band's
     from epgate.spectra import _tridiagonal_char_poly
-    q = models.bh_transition(3)
+    q = models.transition(3, ModelId.BH)
     poly, off_band = _tridiagonal_char_poly(q)
     assert off_band == ExactMatrix([[0, 0, q[0, 2]], [0, 0, 0],
                                     [q[2, 0], 0, 0]])
@@ -487,6 +488,31 @@ def test_degeneracy_scan_shrinks_toward_ep():
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
 
 
+# ladder steps d of every kind: positive, negative, zero, below the normal
+# floats, and near the top of the float range
+_GAP_GRID_D = [Fraction(1), Fraction(3, 7), Fraction(-1), Fraction(-5, 2),
+               Fraction(0), Fraction(1e-300), Fraction(-1e-310),
+               Fraction(1e300), Fraction(-1e300), Fraction(2) ** -1070,
+               -Fraction(2) ** -1070]
+
+
+def test_report_gaps_match_all_pairs(monkeypatch):
+    # the report reads its gaps from the sorted ladder; numpy's all-pairs
+    # arrays over the same roots are the oracle, compared bit for bit
+    d = None
+    monkeypatch.setattr(spectra, "certified_spectrum",
+                        lambda n, model, p: (None, ladder_roots(n, d)))
+    for n in range(2, 61):
+        for d in _GAP_GRID_D:
+            (report,) = reality_scan(n, ModelId.BH, [0])
+            arr = np.array(report.roots)
+            gaps = np.abs(arr[:, None] - arr[None, :])[np.triu_indices(n, k=1)]
+            assert (report.max_imag, report.max_pair_gap,
+                    report.min_pair_gap) == (
+                float(np.max(np.abs(arr.imag))), float(np.max(gaps)),
+                float(np.min(gaps))), (n, d)
+
+
 def test_degeneracy_scan_at_the_ep():
     (report,) = degeneracy_scan(4, ModelId.BH, [Fraction(1)])
     # d = 0: the ladder collapses to exact zeros
@@ -502,6 +528,16 @@ def test_condition_2x2_reference():
     entries = {e.family: e for e in condition_report([2])}
     assert abs(entries["q-bh"].kappa - 3) <= 1e-12
     assert abs(entries["q-ao"].kappa - 3) <= 1e-12
+
+
+def test_condition_report_sees_a_patched_transition(monkeypatch):
+    # the families look their constructors up on ``models`` when called
+    clean = {e.family: e.kappa for e in condition_report([3])}
+    monkeypatch.setattr(models, "transition",
+                        perturb_constructor(models.transition))
+    patched = {e.family: e.kappa for e in condition_report([3])}
+    assert patched["q-bh"] != clean["q-bh"]
+    assert patched["s-rc"] == clean["s-rc"]
 
 
 def test_condition_identity_sanity():

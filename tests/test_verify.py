@@ -105,14 +105,14 @@ def _assert_detected(report: VerificationReport):
 
 
 def test_fault_injection_ep_schrodinger(monkeypatch):
-    monkeypatch.setattr(models, "bh_transition",
-                        perturb_constructor(models.bh_transition))
+    monkeypatch.setattr(models, "transition",
+                        perturb_constructor(models.transition))
     _assert_detected(check_ep_schrodinger(3, ModelId.BH))
 
 
 def test_fault_injection_ep_schrodinger_ao(monkeypatch):
-    monkeypatch.setattr(models, "ao_transition",
-                        perturb_constructor(models.ao_transition, where=(1, 1)))
+    monkeypatch.setattr(models, "transition",
+                        perturb_constructor(models.transition, where=(1, 1)))
     _assert_detected(check_ep_schrodinger(4, ModelId.AO))
 
 
@@ -137,9 +137,8 @@ def test_fault_injection_intertwiner_factorization(monkeypatch):
 
 @pytest.mark.parametrize("model", list(ModelId), ids=lambda m: m.value)
 def test_fault_injection_jordanization_transition_inverse(monkeypatch, model):
-    name = f"{model.value}_transition_inverse"
-    monkeypatch.setattr(models, name,
-                        perturb_constructor(getattr(models, name)))
+    monkeypatch.setattr(models, "transition_inverse",
+                        perturb_constructor(models.transition_inverse))
     _assert_detected(check_jordanization(4, model))
 
 
@@ -242,8 +241,8 @@ def test_fault_injection_intertwiner_through_the_pencil(monkeypatch):
 
 
 def test_fault_injection_ao_transition_through_the_pencil(monkeypatch):
-    monkeypatch.setattr(models, "ao_transition",
-                        perturb_constructor(models.ao_transition))
+    monkeypatch.setattr(models, "transition",
+                        perturb_constructor(models.transition))
     _assert_detected(check_charpoly_similarity(4, ModelId.AO, Fraction(1, 8),
                                                "transition"))
 
