@@ -11,9 +11,9 @@ norm.
 A product is one fused fraction-free dot product per entry (the
 common-denominator idea of Bareiss, applied to a single dot product): integer
 numerators over a running denominator per radicand, reduced to a canonical
-``RadicalSum`` once, at the end.  The left operand is read into integer
-terms once per product, and once for all the products of a Faddeev-LeVerrier
-characteristic polynomial.
+``RadicalSum`` once, at the end.  The integer terms are the coefficients' own
+(re, im, den) triples; the left operand is read once per product, and once
+for all the products of a Faddeev-LeVerrier characteristic polynomial.
 
 Inversion is deliberately structural -- back substitution for triangular
 matrices with monomially invertible diagonals, Gauss-Jordan over Gaussian

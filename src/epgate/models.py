@@ -35,7 +35,7 @@ from enum import Enum
 from math import comb, factorial
 
 from .matrices import ExactMatrix, _accumulate, _read_rows, similarity
-from .radicals import GaussianRational, RadicalSum, invert_monomial
+from .radicals import ONE, GaussianRational, RadicalSum, invert_monomial
 
 _ZERO = RadicalSum()
 
@@ -64,7 +64,7 @@ def _check_dimension(n: int):
 
 def _as_fraction(x) -> Fraction:
     if isinstance(x, (int, Fraction)):
-        return Fraction(x)
+        return x if isinstance(x, Fraction) else Fraction(x)
     raise DomainError(f"parameters must be exact rationals, got {type(x).__name__}")
 
 
@@ -75,12 +75,16 @@ def damping(n: int, lam) -> Fraction:
     damping is site-independent:  lambda + lambda^2 + ... + lambda^(K-1).
     At K = 1 that sum is empty, which would freeze the family at its
     exceptional point for every lambda, so the schedule uses the linear
-    damping lambda there instead (the N = 2, 3 special case).
+    damping lambda there instead (the N = 2, 3 special case).  With
+    lambda = p/q the sum is one geometric sum of integers over q^(K-1).
     """
     lam = _as_fraction(lam)
-    if n // 2 == 1:
+    k = n // 2 - 1
+    if k == 0:
         return lam
-    return sum((lam ** j for j in range(1, n // 2)), Fraction(0))
+    p, q = lam.numerator, lam.denominator
+    num = k * p ** k if p == q else p * (q ** k - p ** k) // (q - p)
+    return Fraction(num, q ** k)
 
 
 # ---------------------------------------------------------------------------
@@ -124,12 +128,13 @@ def jacobi_data(n: int, model: ModelId,
 
 
 def _tridiagonal(diagonal, sup, sub) -> ExactMatrix:
-    """diagonal[k] at (k, k), sup[k-1] at (k-1, k), sub[k-1] at (k, k-1)."""
+    """diagonal[k] at (k, k), sup[k-1] at (k-1, k), sub[k-1] at (k, k-1);
+    the couplings are canonical radical sums, taken as they are."""
     n = len(diagonal)
-    return ExactMatrix([
-        [diagonal[i] if i == j else sup[i] if j == i + 1
-         else sub[j] if i == j + 1 else _ZERO for j in range(n)]
-        for i in range(n)])
+    return ExactMatrix._raw(tuple(
+        tuple(RadicalSum.of(diagonal[i]) if i == j else sup[i] if j == i + 1
+              else sub[j] if i == j + 1 else _ZERO for j in range(n))
+        for i in range(n)))
 
 
 def bh_hamiltonian(n: int, z) -> ExactMatrix:
@@ -333,10 +338,10 @@ def _pencil_family(n: int, model: ModelId, frame: str, param) -> ExactMatrix:
         c = RadicalSum.sqrt_rational(_coupling_scale(n, param))
     a_rows, where, operand = _pencil_operand(n, model, frame)
     rows = [list(r) for r in a_rows]
-    sample = _accumulate(operand, ExactMatrix([[1], [c]]))
+    sample = _accumulate(operand, ExactMatrix._raw(((ONE,), (c,))))
     for (i, j), (v,) in zip(where, sample.rows()):
         rows[i][j] = v
-    return ExactMatrix(rows)
+    return ExactMatrix._raw(tuple(map(tuple, rows)))
 
 
 def bh_in_jordan_basis(n: int, z) -> ExactMatrix:

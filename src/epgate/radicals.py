@@ -1,11 +1,11 @@
 """Exact arithmetic in the field of finite sums  sum_k c_k * sqrt(m_k).
 
-Coefficients c_k are Gaussian rationals (exact complex rationals on top of
-arbitrary-precision ``fractions.Fraction``) and the radicands m_k are distinct
-squarefree positive integers, with m = 1 holding the rational part.  The
-representation is canonical -- no zero coefficients, no non-squarefree keys --
-so structural equality is value equality and every identity downstream can be
-checked with zero tolerance.
+Coefficients c_k are Gaussian rationals, each one integer triple
+(re + im*i)/den in lowest terms that the product kernel reads as it is; the
+radicands m_k are distinct squarefree positive integers, m = 1 holding the
+rational part.  The representation is canonical -- no zero coefficients, no
+non-squarefree keys, no unreduced triples -- so structural equality is value
+equality and every identity downstream is checked with zero tolerance.
 
 All values are immutable and every operation is a pure function; instances may
 be shared freely across threads.
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, sqrt
+from math import gcd, isqrt, lcm, sqrt
 
 
 class InvalidRadicand(ValueError):
@@ -41,6 +41,19 @@ def _as_fraction(x) -> Fraction:
 _TRIAL_BOUND = 2 ** 21
 
 
+def _big_prime(n: int) -> bool:
+    """Whether n is a prime in [2^63, 3.317e24): Miller-Rabin with the first
+    13 prime bases, which is exact below 3.317e24.  False outside."""
+    if not 2 ** 63 <= n < 3317044064679887385961981 or n % 2 == 0:
+        return False
+    r = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^r, d odd
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+        x = pow(a, (n - 1) >> r, n)
+        if x != 1 and all(pow(x, 1 << j, n) != n - 1 for j in range(r)):
+            return False
+    return True
+
+
 @lru_cache(maxsize=None)
 def squarefree_decompose(n: int) -> tuple[int, int]:
     """Split a positive integer as n = f**2 * s with s squarefree.
@@ -52,14 +65,15 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     large denominators.  Division stops at d = 2^21, so no radicand costs
     more than ~10^6 divisions: a cofactor then left above 2^63 has no prime
     factor below 2^21 and may hold a square of a larger prime, so unless it
-    is a perfect square it raises ``InvalidRadicand``.
+    is a perfect square or ``_big_prime`` it raises ``InvalidRadicand``.
     """
     if n < 1:
         raise InvalidRadicand(f"radicand must be a positive integer, got {n}")
     s, f = 1, 1
     rem = n
     d = 2
-    while d * d * d <= rem:
+    prime = _big_prime(rem)
+    while not prime and d * d * d <= rem:
         if d > _TRIAL_BOUND:
             r = isqrt(rem)
             if r * r == rem:
@@ -76,6 +90,7 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
             f *= d ** (e // 2)
             if e % 2:
                 s *= d
+            prime = _big_prime(rem)
         d += 1 if d == 2 else 2
     r = isqrt(rem)
     if r * r == rem:
@@ -94,75 +109,104 @@ def radicand_product(m1: int, m2: int) -> tuple[int, int]:
 
 
 class GaussianRational:
-    """Exact complex rational a + b*i with reduced-fraction components."""
+    """Exact complex rational (re + im*i)/den held as three integers in
+    lowest terms: den > 0 and gcd(re, im, den) == 1, so equal values are
+    equal triples.  ``re`` and ``im`` read the parts as reduced fractions."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_re", "_im", "_den")
 
     def __init__(self, re: Fraction | int = 0, im: Fraction | int = 0):
-        self.re = _as_fraction(re)
-        self.im = _as_fraction(im)
+        den = 1
+        if type(re) is not int or type(im) is not int:
+            re, im = _as_fraction(re), _as_fraction(im)
+            den = lcm(re.denominator, im.denominator)  # still lowest terms
+            re = re.numerator * (den // re.denominator)
+            im = im.numerator * (den // im.denominator)
+        self._re, self._im, self._den = re, im, den
+
+    @staticmethod
+    def _raw(re: int, im: int, den: int) -> "GaussianRational":
+        # internal fast path: caller guarantees a canonical triple
+        out = object.__new__(GaussianRational)
+        out._re, out._im, out._den = re, im, den
+        return out
+
+    @staticmethod
+    def _make(re: int, im: int, den: int) -> "GaussianRational":
+        """(re + im*i)/den in lowest terms, for a positive den."""
+        g = gcd(gcd(re, im), den)
+        out = object.__new__(GaussianRational)
+        out._re, out._im, out._den = re // g, im // g, den // g
+        return out
+
+    re = property(lambda self: Fraction(self._re, self._den))
+    im = property(lambda self: Fraction(self._im, self._den))
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return bool(self._re or self._im)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
+            return (self._re == other._re and self._im == other._im
+                    and self._den == other._den)
         if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
+            return (self._im == 0 and self._re == other.numerator
+                    and self._den == other.denominator)
         return NotImplemented
 
-    def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
+    def __hash__(self):  # a real value hashes as the int or Fraction it is
+        if self._im == 0:
+            return hash(Fraction(self._re, self._den))
+        return hash((self._re, self._im, self._den))
 
     def __add__(self, other) -> "GaussianRational":
         other = _as_gaussian(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        a, b, d = self._re, self._im, self._den
+        c, e, f = other._re, other._im, other._den
+        if d == f:
+            return GaussianRational._make(a + c, b + e, d)
+        return GaussianRational._make(a * f + c * d, b * f + e * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "GaussianRational":
-        other = _as_gaussian(other)
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        return self + -_as_gaussian(other)
 
     def __rsub__(self, other) -> "GaussianRational":
-        return _as_gaussian(other) - self
+        return _as_gaussian(other) + -self
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        return GaussianRational._raw(-self._re, -self._im, self._den)
 
     def __mul__(self, other) -> "GaussianRational":
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(self.re * other, self.im * other)
         if isinstance(other, GaussianRational):
-            a, b, c, d = self.re, self.im, other.re, other.im
-            return GaussianRational(a * c - b * d, a * d + b * c)
+            a, b, c, e = self._re, self._im, other._re, other._im
+            return GaussianRational._make(a * c - b * e, a * e + b * c,
+                                          self._den * other._den)
+        if isinstance(other, (int, Fraction)):
+            p = other.numerator
+            return GaussianRational._make(self._re * p, self._im * p,
+                                          self._den * other.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "GaussianRational":
-        if k < 0:
-            return self.reciprocal() ** (-k)
+        base = self if k >= 0 else self.reciprocal()
         out = GaussianRational(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
+        for _ in range(abs(k)):
+            out = out * base
         return out
 
     def reciprocal(self) -> "GaussianRational":
-        norm = self.re * self.re + self.im * self.im
-        if norm == 0:
+        a, b, d = self._re, self._im, self._den
+        if not (a or b):
             raise DivisionByZero("reciprocal of exact zero")
-        return GaussianRational(self.re / norm, -self.im / norm)
+        return GaussianRational._make(a * d, -b * d, a * a + b * b)
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        # int true division is correctly rounded, as float(Fraction) is
+        return complex(self._re / self._den, self._im / self._den)
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"
@@ -228,7 +272,7 @@ class RadicalSum:
 
     @classmethod
     def gaussian(cls, re, im) -> "RadicalSum":
-        return cls.of(GaussianRational(_as_fraction(re), _as_fraction(im)))
+        return cls.of(GaussianRational(re, im))
 
     @classmethod
     def sqrt_int(cls, n: int) -> "RadicalSum":
@@ -244,7 +288,7 @@ class RadicalSum:
             raise InvalidRadicand(f"square root domain is positive rationals, got {q}")
         p, d = q.numerator, q.denominator
         s, f = squarefree_decompose(p * d)
-        return cls._raw({s: GaussianRational(Fraction(f, d))})
+        return cls._raw({s: GaussianRational._make(f, 0, d)})
 
     # -- inspection ---------------------------------------------------------
 
@@ -256,19 +300,10 @@ class RadicalSum:
         return bool(self._terms)
 
     def integer_terms(self) -> tuple[tuple[int, int, int, int], ...]:
-        """Terms as (radicand, re, im, den) integer quadruples, one common
-        denominator per coefficient: the term is (re + im*i)/den * sqrt(m)."""
-        out = []
-        for m, c in self._terms.items():
-            re, im = c.re, c.im
-            rd, id_ = re.denominator, im.denominator
-            if rd == id_:
-                out.append((m, re.numerator, im.numerator, rd))
-            else:
-                den = rd // gcd(rd, id_) * id_
-                out.append((m, re.numerator * (den // rd),
-                            im.numerator * (den // id_), den))
-        return tuple(out)
+        """Terms as (radicand, re, im, den) integer quadruples, each
+        coefficient's own triple: the term is (re + im*i)/den * sqrt(m)."""
+        return tuple((m, c._re, c._im, c._den)
+                     for m, c in self._terms.items())
 
     @classmethod
     def from_integer_sums(cls, sums: dict[int, list[int]]) -> "RadicalSum":
@@ -277,7 +312,7 @@ class RadicalSum:
         out = {}
         for m, (re, im, den) in sums.items():
             if re or im:
-                out[m] = GaussianRational(Fraction(re, den), Fraction(im, den))
+                out[m] = GaussianRational._make(re, im, den)
         return cls._raw(out)
 
     def as_gaussian(self) -> GaussianRational:

@@ -254,7 +254,7 @@ def ladder_poly(n: int, d: Fraction) -> ExactPolynomial:
     for j, e in enumerate(_ladder_sums(n)):
         if num_j:
             out[n - 2 * j] = RadicalSum._raw(
-                {1: GaussianRational(Fraction(e * num_j, den_j))})
+                {1: GaussianRational._make(e * num_j, 0, den_j)})
         num_j, den_j = num_j * num, den_j * den
     return ExactPolynomial(out)
 
@@ -328,10 +328,9 @@ def certified_spectrum(n: int, model: ModelId, param
     them."""
     models._check_dimension(n)
     param = models._as_fraction(param)
-    if model is ModelId.AO:
-        models._coupling_scale(n, param)
+    d = (1 - models._coupling_scale(n, param) if model is ModelId.AO
+         else ladder_d(n, model, param))
     _prove_ladder(n, model)
-    d = ladder_d(n, model, param)
     return ladder_poly(n, d), ladder_roots(n, d)
 
 

@@ -4,6 +4,7 @@ generators, and independent brute-force oracles."""
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from contextlib import contextmanager
 from fractions import Fraction
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from epgate import models, spectra
 from epgate.models import ModelId
 from epgate.matrices import ExactMatrix, ExactPolynomial, similarity
-from epgate.radicals import GaussianRational, RadicalSum
+from epgate.radicals import GaussianRational, RadicalSum, squarefree_decompose
 
 
 def T(m: int, re, im=0) -> RadicalSum:
@@ -184,6 +185,46 @@ def naive_matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     return ExactMatrix([
         [sum((x * y for x, y in zip(row, col)), RadicalSum()) for col in
          zip(*b.rows())] for row in a.rows()])
+
+
+class FractionPair:
+    """Reference Gaussian rational: a + b*i as two reduced Fractions, with
+    the schoolbook field operations (the scalar's earlier storage form)."""
+
+    def __init__(self, re=0, im=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    def __add__(self, other):
+        return FractionPair(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        return FractionPair(self.re - other.re, self.im - other.im)
+
+    def __neg__(self):
+        return FractionPair(-self.re, -self.im)
+
+    def __mul__(self, other):
+        return FractionPair(self.re * other.re - self.im * other.im,
+                            self.re * other.im + self.im * other.re)
+
+    def reciprocal(self):
+        norm = self.re * self.re + self.im * self.im
+        return FractionPair(self.re / norm, -self.im / norm)
+
+
+def assert_canonical(value):
+    """A RadicalSum (or GaussianRational) in canonical form: squarefree
+    radicands, no zero coefficient, and every coefficient an integer triple
+    (re, im, den) with den > 0 and gcd(re, im, den) == 1."""
+    terms = (value.items() if isinstance(value, RadicalSum)
+             else ((1, value),))
+    for m, c in terms:
+        assert isinstance(c, GaussianRational), c
+        triple = (c._re, c._im, c._den)
+        assert all(type(x) is int for x in triple), triple
+        assert c._den > 0 and math.gcd(*triple) == 1, triple
+        if isinstance(value, RadicalSum):
+            assert c and squarefree_decompose(m) == (m, 1), (m, c)
 
 
 def trial_division_squarefree(n: int) -> tuple[int, int]:

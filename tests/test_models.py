@@ -23,6 +23,7 @@ from helpers import (
     GOLDEN_S,
     SIMILARITY_DEFINITIONS,
     T,
+    assert_canonical,
     similarity_family,
     transpose,
 )
@@ -133,6 +134,53 @@ def test_coupling_schedule():
     assert models.damping(2, Fraction(1, 4)) == Fraction(1, 4)
     assert models.damping(6, Fraction(1, 4)) == \
         Fraction(1, 4) + Fraction(1, 16)
+
+
+@pytest.mark.parametrize("lam", [0, Fraction(1, 2), Fraction(3, 7),
+                                 Fraction(1, 2 ** 40), Fraction(-1, 3),
+                                 Fraction(5, 2), 1, -1])
+def test_damping_is_the_power_sum(lam):
+    for n in range(2, 41):
+        want = (Fraction(lam) if n // 2 == 1 else
+                sum((Fraction(lam) ** j for j in range(1, n // 2)),
+                    Fraction(0)))
+        got = models.damping(n, lam)
+        assert type(got) is Fraction and got == want, (n, lam)
+
+
+# The six scenario families, with parameters inside each one's domain at
+# every N below; the oscillator's 2^-40 radicand is refused from N = 8 on.
+_FAMILY_PARAMS = {
+    models.bh_hamiltonian: [-1, Fraction(-5, 16), 0, Fraction(1, 64), 1],
+    models.bh_in_jordan_basis: [-1, Fraction(-5, 16), 0, Fraction(1, 64), 1],
+    models.bh_in_ao_frame: [-1, Fraction(-5, 16), 0, Fraction(1, 64), 1],
+    models.ao_hamiltonian: [0, Fraction(1, 64), Fraction(5, 16)],
+    models.ao_in_jordan_basis: [0, Fraction(1, 64), Fraction(5, 16)],
+    models.ao_in_bh_frame: [0, Fraction(1, 64), Fraction(5, 16)],
+}
+
+
+@pytest.mark.parametrize("family", list(_FAMILY_PARAMS),
+                         ids=lambda f: f.__name__)
+def test_assembled_samples_are_canonical(family):
+    # the samples are assembled from their entries without re-reading them;
+    # reading every entry again changes nothing
+    for n in (2, 3, 5, 8, 12):
+        params = _FAMILY_PARAMS[family]
+        if n <= 5 and family in (models.ao_hamiltonian,
+                                 models.ao_in_jordan_basis,
+                                 models.ao_in_bh_frame):
+            params = params + [Fraction(1, 2 ** 40)]
+        for p in params:
+            sample = family(n, p)
+            assert sample == ExactMatrix(sample.rows())
+            assert sample == ExactMatrix(
+                [[RadicalSum(dict(e.items())) for e in row]
+                 for row in sample.rows()])
+            for row in sample.rows():
+                for e in row:
+                    assert isinstance(e, RadicalSum)
+                    assert_canonical(e)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from epgate.radicals import (
     DivisionByZero,
@@ -17,7 +19,13 @@ from epgate.radicals import (
     invert_monomial,
     squarefree_decompose,
 )
-from helpers import radical_sums, random_radical, trial_division_squarefree
+from helpers import (
+    FractionPair,
+    assert_canonical,
+    radical_sums,
+    random_radical,
+    trial_division_squarefree,
+)
 
 SQRT2 = RadicalSum.sqrt_int(2)
 SQRT3 = RadicalSum.sqrt_int(3)
@@ -58,6 +66,28 @@ def test_squarefree_past_the_trial_bound():
         squarefree_decompose(12 * p * q)
     # below 2^63 the d^3 <= rem cutoff ends the division first
     assert squarefree_decompose(q * q * 12) == (3, 2 * q)
+
+
+def test_squarefree_prime_cofactor_above_the_trial_bound():
+    # a cofactor in [2^63, 3.317e24) that Miller-Rabin with the first 13
+    # prime bases proves prime is squarefree, and ends the division at once
+    for p in (2 ** 64 + 13, 2 ** 80 + 13, 3317044064679887385961813):
+        start = time.perf_counter()
+        assert squarefree_decompose(p) == (p, 1)
+        assert squarefree_decompose(12 * p) == (3 * p, 2)
+        assert time.perf_counter() - start < 0.5
+    # a semiprime of two primes above 2^21 in that range is still refused,
+    # as is 318665857834031151167461 = 399165290221 * 798330580441, a strong
+    # pseudoprime to the first 12 prime bases that base 41 exposes
+    for n in (2097169 * 35184372088891, 1073741827 * 1099511627791,
+              318665857834031151167461):
+        assert 2 ** 63 <= n < 3317044064679887385961981
+        with pytest.raises(InvalidRadicand, match="no prime factor below 2"):
+            squarefree_decompose(n)
+    # above 3.317e24 the fixed bases prove nothing: the Mersenne prime
+    # 2^89 - 1 (6.2e26) is refused
+    with pytest.raises(InvalidRadicand, match="no prime factor below 2"):
+        squarefree_decompose(2 ** 89 - 1)
 
 
 def test_squarefree_rejects_nonpositive():
@@ -256,3 +286,90 @@ def test_hypothesis_canonical_observables(a):
 @given(radical_sums)
 def test_hypothesis_additive_inverse(a):
     assert a - a == ZERO
+
+
+# ---------------------------------------------------------------------------
+# the scalar's integer triple, against the Fraction-pair oracle
+# ---------------------------------------------------------------------------
+
+_parts = st.one_of(st.integers(-10 ** 30, 10 ** 30),
+                   st.fractions(max_denominator=10 ** 12))
+_gaussian_pairs = st.tuples(_parts, _parts)
+
+
+def _parts_of(g):
+    return g.re, g.im
+
+
+@given(_gaussian_pairs, _gaussian_pairs, _parts, st.integers(-4, 4))
+def test_triple_arithmetic_matches_fraction_pairs(x, y, q, k):
+    g, h = GaussianRational(*x), GaussianRational(*y)
+    og, oh, oq = FractionPair(*x), FractionPair(*y), FractionPair(q)
+    assert_canonical(g)
+    assert _parts_of(g) == _parts_of(og)
+    cases = [(g + h, og + oh), (g - h, og - oh), (g * h, og * oh),
+             (-g, -og), (g + q, og + oq), (q + g, oq + og), (g - q, og - oq),
+             (q - g, oq - og), (g * q, og * oq), (q * g, oq * og)]
+    if g:
+        cases.append((g.reciprocal(), og.reciprocal()))
+        power = FractionPair(1)
+        for _ in range(abs(k)):
+            power = power * (og if k > 0 else og.reciprocal())
+        cases.append((g ** k, power))
+    for got, want in cases:
+        assert_canonical(got)
+        assert _parts_of(got) == _parts_of(want)
+        assert bool(got) == bool(want.re or want.im)
+        assert (got == g) == (_parts_of(want) == _parts_of(og))
+
+
+@given(_parts)
+def test_real_triple_equals_and_hashes_as_the_rational(q):
+    g = GaussianRational(q)
+    for x in (q, Fraction(q), RadicalSum.of(q)):
+        assert g == x and x == g
+        assert hash(g) == hash(x)
+    assert g != q + 1 and GaussianRational(q, 1) != q
+    if Fraction(q).denominator == 1:
+        assert g == int(q) and hash(g) == hash(int(q))
+
+
+# numerators and powers of two that reach past both ends of the doubles:
+# subnormals down to 2^-1074, and overflow past 2^1024
+_extreme = st.builds(lambda m, e, d: Fraction(m, d) * Fraction(2) ** e,
+                     st.integers(-2 ** 60, 2 ** 60), st.integers(-1140, 1090),
+                     st.integers(1, 2 ** 40))
+
+
+def _float_or_overflow(x):
+    try:
+        return float(x).hex()
+    except OverflowError:
+        return OverflowError
+
+
+@given(st.one_of(_extreme, _parts), st.one_of(_extreme, _parts))
+def test_complex_is_the_correctly_rounded_parts(re, im):
+    g = GaussianRational(re, im)
+    want = (_float_or_overflow(g.re), _float_or_overflow(g.im))
+    if OverflowError in want:
+        with pytest.raises(OverflowError):
+            complex(g)
+        return
+    got = complex(g)
+    assert (got.real.hex(), got.imag.hex()) == want
+
+
+@given(radical_sums, radical_sums, st.integers(1, 10 ** 6))
+def test_integer_terms_round_trip(a, b, scale):
+    for value in (a, b, a * b, a + b, a - b):
+        assert_canonical(value)
+        terms = value.integer_terms()
+        assert RadicalSum.from_integer_sums(
+            {m: [re, im, den] for m, re, im, den in terms}) == value
+        # an unreduced triple is reduced on the way in
+        scaled = RadicalSum.from_integer_sums(
+            {m: [re * scale, im * scale, den * scale]
+             for m, re, im, den in terms})
+        assert scaled == value
+        assert_canonical(scaled)
