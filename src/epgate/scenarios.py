@@ -46,15 +46,20 @@ class Parametrization:
 @dataclass(frozen=True)
 class ScenarioPath:
     """One scenario row at a fixed dimension: two one-parameter families
-    glued at an exceptional-point interface matrix."""
+    glued at an exceptional-point interface matrix.  ``interface`` builds
+    that matrix; it is built only when ``ep_matrix`` is read."""
 
     row: int
     N: int
     label: str
-    ep_matrix: ExactMatrix
+    interface: Callable[[], ExactMatrix]
     left_family: Callable[[Fraction], ExactMatrix]
     right_family: Callable[[Fraction], ExactMatrix]
     parametrization: Parametrization
+
+    @property
+    def ep_matrix(self) -> ExactMatrix:
+        return self.interface()
 
 
 @dataclass(frozen=True)
@@ -122,7 +127,7 @@ def scenario_path(row: int, n: int,
                                 param.left_name, _reversed(param.left))
         left, right = _reversed(right), _reversed(left)
     return ScenarioPath(row=row, N=n, label=ROW_LABELS[row],
-                        ep_matrix=interface(n, literal_zero_ep),
+                        interface=lambda: interface(n, literal_zero_ep),
                         left_family=left, right_family=right,
                         parametrization=param)
 

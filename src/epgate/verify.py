@@ -64,18 +64,24 @@ def _indent(text: str) -> str:
 
 
 def _report(check: CheckId, n: int, params: Params, started: float,
-            *deltas: ExactMatrix) -> VerificationReport:
-    """Assemble a report from left-minus-right residual candidates: the check
-    passes iff all are exactly zero; the first nonzero one is reported."""
-    residual = next((d for d in deltas if not d.is_zero()), None)
+            *pairs) -> VerificationReport:
+    """Assemble a report from (left, right) pairs of exact matrices or exact
+    polynomials: the check passes iff every pair is equal.  Canonical entries
+    make equality structural, so the pairs are compared entry by entry and a
+    residual is built only for the first pair that differs."""
+    residual = next((_residual(left, right) for left, right in pairs
+                     if left != right), None)
     elapsed_ms = (time.perf_counter() - started) * 1e3
     return VerificationReport(check, n, params, residual is None, residual,
                               elapsed_ms)
 
 
-def _poly_residual(left: ExactPolynomial, right: ExactPolynomial) -> ExactMatrix:
-    """Coefficient differences as a single-row matrix (degree ascending)."""
-    return ExactMatrix([(left - right).coefficients])
+def _residual(left, right) -> ExactMatrix:
+    """left - right; for polynomials, the coefficient differences as a
+    single-row matrix (degree ascending)."""
+    if isinstance(left, ExactPolynomial):
+        return ExactMatrix([(left - right).coefficients])
+    return left - right
 
 
 def _ep_params(model: ModelId) -> Params:
@@ -91,7 +97,7 @@ def check_ep_schrodinger(n: int, model: ModelId) -> VerificationReport:
     h = models.ep_hamiltonian(n, model)
     q = models.transition(n, model)
     j = models.jordan_block(n, 0)
-    return _report(check, n, _ep_params(model), started, (h @ q) - (q @ j))
+    return _report(check, n, _ep_params(model), started, (h @ q, q @ j))
 
 
 def check_jordanization(n: int, model: ModelId) -> VerificationReport:
@@ -104,8 +110,8 @@ def check_jordanization(n: int, model: ModelId) -> VerificationReport:
     q_inv = models.transition_inverse(n, model)
     j = models.jordan_block(n, 0)
     ident = ExactMatrix.identity(n)
-    return _report(check, n, _ep_params(model), started, (q_inv @ h @ q) - j,
-                   (q @ q_inv) - ident, (q_inv @ q) - ident)
+    return _report(check, n, _ep_params(model), started, (q_inv @ h @ q, j),
+                   (q @ q_inv, ident), (q_inv @ q, ident))
 
 
 def check_intertwiner_factorization(n: int) -> VerificationReport:
@@ -119,8 +125,8 @@ def check_intertwiner_factorization(n: int) -> VerificationReport:
     s, s_inv = models.intertwiner(n), models.intertwiner_inverse(n)
     ident = ExactMatrix.identity(n)
     return _report(CheckId.INTERTWINER_FACTORIZATION, n, (), started,
-                   via_transitions - closed_form,
-                   (s @ s_inv) - ident, (s_inv @ s) - ident)
+                   (via_transitions, closed_form),
+                   (s @ s_inv, ident), (s_inv @ s, ident))
 
 
 def check_intertwine(n: int) -> VerificationReport:
@@ -129,7 +135,7 @@ def check_intertwine(n: int) -> VerificationReport:
     s = models.intertwiner(n)
     left = s @ models.bh_hamiltonian(n, 1)
     right = models.ao_hamiltonian(n, 0) @ s
-    return _report(CheckId.INTERTWINE, n, (), started, left - right)
+    return _report(CheckId.INTERTWINE, n, (), started, (left, right))
 
 
 def check_scenario_matching(n: int, row: int,
@@ -147,9 +153,10 @@ def check_scenario_matching(n: int, row: int,
     zero = Fraction(0)
     left = path.left_family(zero)
     right = path.right_family(zero)
+    ep = path.ep_matrix
     params: Params = (("row", Fraction(row)),)
     return _report(CheckId.SCENARIO_MATCHING, n, params, started,
-                   left - path.ep_matrix, right - path.ep_matrix)
+                   (left, ep), (right, ep))
 
 
 # Family names, resolved on ``models`` per call so a patched one is checked.
@@ -179,9 +186,9 @@ def check_charpoly_similarity(n: int, model: ModelId, param,
     params: Params = ((models.EP_PARAMETER[model][0], param),
                       ("frame", Fraction(0 if frame == "transition" else 1)))
     poly, off_band = spectra._tridiagonal_char_poly(transformed)
-    return _report(CheckId.CHARPOLY_SIMILARITY, n, params, started, off_band,
-                   _poly_residual(poly, spectra.char_poly_tridiagonal(
-                       n, model, param)))
+    return _report(CheckId.CHARPOLY_SIMILARITY, n, params, started,
+                   (off_band, ExactMatrix.scalar(n, 0)),
+                   (poly, spectra.char_poly_tridiagonal(n, model, param)))
 
 
 def check_ep_degeneracy(n: int, model: ModelId) -> VerificationReport:
@@ -193,7 +200,8 @@ def check_ep_degeneracy(n: int, model: ModelId) -> VerificationReport:
     p, off_band = spectra._tridiagonal_char_poly(
         models.ep_hamiltonian(n, model))
     return _report(CheckId.EP_TOTAL_DEGENERACY, n, _ep_params(model), started,
-                   off_band, _poly_residual(p, ExactPolynomial.power(n)))
+                   (off_band, ExactMatrix.scalar(n, 0)),
+                   (p, ExactPolynomial.power(n)))
 
 
 _DEFAULT_SIMILARITY_PARAMS = {ModelId.BH: Fraction(1, 2),

@@ -23,6 +23,9 @@ CASES = {
     "verify_N3_literal-zero-ep.txt": (
         ["verify", "--N", "3", "--checks", "scenario-matching",
          "--literal-zero-ep"], 1),
+    "verify_N2-4_literal-zero-ep.json": (
+        ["verify", "--N", "2..4", "--checks", "scenario-matching",
+         "--literal-zero-ep", "--format", "json"], 1),
     "gen_s-rc_N5.txt": (["gen", "--model", "s-rc", "--N", "5"], 0),
 }
 

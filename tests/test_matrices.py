@@ -20,6 +20,7 @@ from helpers import (
     GOLDEN_Q_BH,
     G,
     T,
+    assert_canonical,
     leibniz_char_poly,
     naive_matmul,
     radical_sums,
@@ -144,6 +145,95 @@ def test_matmul_exact_cancellation_is_canonical():
     assert one == RadicalSum.of(1) and one.items() == ((1, GaussianRational(1)),)
     assert hash(zero) == hash(RadicalSum()) == hash(0)
     assert hash(one) == hash(RadicalSum.of(1)) == hash(1)
+
+
+# sparse operands: the kernel reads nonzero entries only, so every entry it
+# never reaches, and every entry whose terms cancel, must still be the
+# canonical zero
+
+def _sparse(rng, n_rows, n_cols, keep):
+    """Random radical entries at the positions where keep(i, j), else 0."""
+    return ExactMatrix([[random_radical(rng, max_radicand=30) if keep(i, j)
+                         else 0 for j in range(n_cols)]
+                        for i in range(n_rows)])
+
+
+def _assert_sparse_product(a, b):
+    product, reference = a @ b, naive_matmul(a, b)
+    assert product == reference
+    zeros_seen = 0
+    for row, ref_row in zip(product.rows(), reference.rows()):
+        for e, ref in zip(row, ref_row):
+            assert_canonical(e)
+            if not ref:
+                assert not e and e.items() == ()
+                zeros_seen += 1
+    return zeros_seen
+
+
+def _tridiagonal_pattern(i, j):
+    return abs(i - j) <= 1
+
+
+def test_matmul_tridiagonal_and_dense_operands():
+    rng = random.Random(7)
+    for _ in range(10):
+        tri = _sparse(rng, 5, 5, _tridiagonal_pattern)
+        dense = random_matrix(rng, 5, 4, max_radicand=30)
+        _assert_sparse_product(tri, dense)
+        _assert_sparse_product(transpose(dense), tri)
+    # two tridiagonal factors leave a pentadiagonal band: zeros off it
+    assert _assert_sparse_product(
+        _sparse(rng, 6, 6, _tridiagonal_pattern),
+        _sparse(rng, 6, 6, _tridiagonal_pattern)) >= 12
+
+
+def test_matmul_upper_triangular_operands():
+    rng = random.Random(11)
+    for _ in range(10):
+        u = _sparse(rng, 5, 5, lambda i, j: i <= j)
+        v = _sparse(rng, 5, 5, lambda i, j: i <= j)
+        # the product is upper triangular: at least the 10 entries below
+        assert _assert_sparse_product(u, v) >= 10
+        _assert_sparse_product(u, random_matrix(rng, 5, 3, max_radicand=30))
+    q = models.transition(6, ModelId.BH)
+    _assert_sparse_product(models.pascal_matrix(6), q)
+
+
+def test_matmul_all_zero_row_and_column():
+    rng = random.Random(13)
+    a = _sparse(rng, 4, 3, lambda i, j: i != 2)
+    b = _sparse(rng, 3, 5, lambda i, j: j != 1)
+    product = a @ b
+    assert _assert_sparse_product(a, b) >= 8  # 5 in the row, 4 in the column
+    assert all(not e for e in product.rows()[2])
+    assert all(not row[1] for row in product.rows())
+    _assert_sparse_product(zeros(2, 3), b)
+
+
+@pytest.mark.parametrize("model", list(ModelId), ids=lambda m: m.value)
+def test_matmul_pencil_sample_shape(model):
+    # the (A[i, j], B[i, j]) rows of a pencil times the column (1, c), also
+    # at c = 0 and with the rows where both A and B are zero
+    n = 5
+    a, b = models.family_pencil(n, model, "intertwiner")
+    pairs = ExactMatrix([(a[i, j], b[i, j]) for i in range(n)
+                         for j in range(n)])
+    scale = models._coupling_scale(n, Fraction(1, 8))
+    for c in (RadicalSum.sqrt_rational(scale), RadicalSum.of(Fraction(3, 4)),
+              RadicalSum()):
+        column = ExactMatrix([[1], [c]])
+        assert _assert_sparse_product(pairs, column) > 0
+
+
+def test_matmul_terms_cancelling_to_zero():
+    # sqrt(2)*sqrt(3) - sqrt(3)*sqrt(2) and Q @ Q^-1 off the diagonal
+    a = ExactMatrix([[T(2, 1), T(3, 1)], [T(5, 0, 1), 1]])
+    b = ExactMatrix([[T(3, 1), 0], [T(2, -1), 0]])
+    assert _assert_sparse_product(a, b) == 3
+    for model in ModelId:
+        q, q_inv = models.transition(5, model), models.transition_inverse(5, model)
+        assert _assert_sparse_product(q, q_inv) == 20
 
 
 # ---------------------------------------------------------------------------

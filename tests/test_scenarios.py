@@ -158,6 +158,33 @@ def test_sample_path_builds_its_path_once(monkeypatch):
     assert calls == [(2, 4)]
 
 
+# each row's interface constructor and the parameter it is read at
+_INTERFACE = {1: ("bh_hamiltonian", 1), 2: ("jordan_block", 0),
+              3: ("ao_hamiltonian", 0)}
+
+
+@pytest.mark.parametrize("row", range(1, 7))
+def test_sample_path_builds_the_interface_only_at_t_zero(monkeypatch, row):
+    ts = [Fraction(-1, 4), Fraction(1, 8)]
+    warm = sample_path(row, 4, ts)  # fills the pencil caches unpatched
+    name, at = _INTERFACE[min(row, 7 - row)]
+    original = getattr(models, name)
+
+    def refuse_interface(n, p):
+        if p == at:
+            raise RuntimeError("interface matrix built")
+        return original(n, p)
+
+    monkeypatch.setattr(models, name, refuse_interface)
+    assert [s.matrix for s in sample_path(row, 4, ts)] == \
+        [s.matrix for s in warm]
+    # a t = 0 sample reads the interface, through the patched constructor
+    with pytest.raises(RuntimeError, match="interface matrix built"):
+        sample_path(row, 4, [Fraction(0)])
+    with pytest.raises(RuntimeError, match="interface matrix built"):
+        scenario_path(row, 4).ep_matrix
+
+
 def test_sample_path_propagates_domain_error():
     with pytest.raises(DomainError):
         sample_path(1, 3, [Fraction(-3)])

@@ -1,9 +1,11 @@
+import time
 from fractions import Fraction
 
 import pytest
 
-from epgate import models, scenarios
-from epgate.matrices import ExactMatrix
+from epgate import models, scenarios, spectra
+from epgate.matrices import ExactMatrix, ExactPolynomial
+from epgate.radicals import RadicalSum
 from epgate.models import DimensionError, DomainError, ModelId
 from epgate.verify import (
     CheckId,
@@ -16,6 +18,7 @@ from epgate.verify import (
     check_jordanization,
     check_scenario_matching,
     run_suite,
+    _report,
 )
 from helpers import fresh_model_caches, perturb_constructor
 
@@ -286,6 +289,57 @@ def test_literal_zero_interface_reading_fails_on_bh_rows():
         _assert_detected(report)
     for row in (2, 3, 4, 5):
         _assert_clean_pass(check_scenario_matching(3, row, literal_zero_ep=True))
+
+
+# ---------------------------------------------------------------------------
+# report assembly from (left, right) pairs
+# ---------------------------------------------------------------------------
+
+def _pairs_report(*pairs) -> VerificationReport:
+    return _report(CheckId.INTERTWINE, 2, (), time.perf_counter(), *pairs)
+
+
+def test_report_residual_is_the_first_unequal_matrix_pair():
+    a = ExactMatrix([[1, RadicalSum.sqrt_int(2)], [3, 4]])
+    b = ExactMatrix([[1, 0], [3, Fraction(9, 2)]])
+    c = ExactMatrix([[5, 6], [7, 8]])
+    report = _pairs_report((a, a), (a, b), (b, c))
+    assert not report.passed
+    assert report.residual == a - b
+    assert report.residual == ExactMatrix(
+        [[0, RadicalSum.sqrt_int(2)], [0, Fraction(-1, 2)]])
+    assert _pairs_report((b, c), (a, b)).residual == b - c
+
+
+def test_report_residual_is_the_first_unequal_polynomial_pair():
+    e3 = ExactPolynomial.power(3)
+    p = ExactPolynomial([1, 0, 0, 1])
+    report = _pairs_report((e3, e3), (e3, p), (p, ExactPolynomial([0])))
+    assert not report.passed
+    # the coefficient row of E^3 - (E^3 + 1), trimmed as the difference is
+    assert report.residual == ExactMatrix([[-1]])
+    q = ExactPolynomial([0, RadicalSum.sqrt_int(3), 1])
+    assert _pairs_report((p, q)).residual == ExactMatrix(
+        [[1, -RadicalSum.sqrt_int(3), -1, 1]])
+    # a matrix pair after an unequal polynomial pair is not reported
+    off = ExactMatrix([[0, 1], [0, 0]])
+    assert _pairs_report((e3, p), (off, ExactMatrix.scalar(2, 0))
+                         ).residual == ExactMatrix([[-1]])
+    assert _pairs_report((e3, e3), (off, ExactMatrix.scalar(2, 0))
+                         ).residual == off
+
+
+def test_report_passes_equal_values_built_by_different_routes():
+    root2 = RadicalSum.sqrt_int(2)
+    squared = ExactMatrix([[root2]]) @ ExactMatrix([[root2]])
+    _assert_clean_pass(_pairs_report(
+        (squared, ExactMatrix([[2]])),
+        (ExactMatrix([[root2 * root2, RadicalSum.sqrt_int(8)]]),
+         ExactMatrix([[Fraction(4, 2), 2 * root2]])),
+        (ExactPolynomial([root2 * root2, 0, 0]), ExactPolynomial([2])),
+        # the band reader's zeros against a constructed zero matrix
+        (spectra._tridiagonal_char_poly(models.jordan_block(4, 0))[1],
+         ExactMatrix.scalar(4, 0))))
 
 
 # ---------------------------------------------------------------------------
