@@ -30,8 +30,16 @@ CASES = {
 }
 
 # scenario golden file -> argv; row 3 at N = 5 carries both families and the
-# radicals sqrt(6), sqrt(61) and sqrt(366) in its matrices
+# radicals sqrt(6), sqrt(61) and sqrt(366) in its matrices.  Rows 1, 2 and 3
+# together hold all six sample kinds: both Hamiltonians and the four
+# transformed families, on both sides of the interface
 SCENARIO_CASES = {
+    "scenario_row1_N6.json": ["scenario", "--row", "1", "--N", "6",
+                              "--t", "-1/2,-1/16,0,1/64,1/8",
+                              "--format", "json"],
+    "scenario_row2_N6.json": ["scenario", "--row", "2", "--N", "6",
+                              "--t", "-1/2,-1/16,0,1/64,1/8",
+                              "--format", "json"],
     "scenario_row5_N3.json": ["scenario", "--row", "5", "--N", "3",
                               "--t", "-1/4,0,1/4", "--format", "json"],
     "scenario_row3_N5.json": ["scenario", "--row", "3", "--N", "5",
