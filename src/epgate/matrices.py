@@ -130,9 +130,6 @@ class ExactMatrix:
     def __hash__(self):
         return hash(self._rows)
 
-    def is_zero(self) -> bool:
-        return all(not e for row in self._rows for e in row)
-
     # -- arithmetic ---------------------------------------------------------
 
     def _require_same_shape(self, other: "ExactMatrix"):

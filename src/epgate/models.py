@@ -4,9 +4,10 @@ Two tridiagonal Hamiltonian families live here -- the complex-symmetric
 Bose-Hubbard chain H_BH(z) with exceptional points at z = +-1 and the real
 asymmetric anharmonic-oscillator chain H_AO(lambda) with its exceptional
 point at lambda = 0 -- together with the Jordan block, the binomial
-(Pascal-triangle) matrix, and the closed-form transition machinery.  Both
-Hamiltonians are built from ``jacobi_data``, their diagonal and coupling
-products read from the parameter, which the exact spectra also read:
+(Pascal-triangle) matrix, and the closed-form transition machinery.
+``jacobi_data`` reads the diagonal and coupling products from the
+parameter; the exact spectra read it at every parameter, and both
+Hamiltonians' pencils read it at the EP parameter.  The module also holds:
 
 * ``transition(n, model)``: the matrix Q that carries a family's EP
   Hamiltonian to the nilpotent Jordan block, built as a diagonal * pascal *
@@ -18,11 +19,13 @@ products read from the parameter, which the exact spectra also read:
 * exact inverses of all three, obtained through the factorizations (the
   binomial matrix has the closed-form inverse ``pascal_inverse``), and
 * the similarity-transformed Hamiltonian families used by the crossing
-  scenarios (Jordan-basis and swapped-frame versions of both models).  Each
-  is a pencil A + c(p)*B: A and B are transformed once per (n, model,
-  frame) by ``family_pencil`` and read once as the left operand of the
-  fused product kernel, so a sample is one product with the column (1, c)
-  instead of two dense products.
+  scenarios (Jordan-basis and swapped-frame versions of both models), A and
+  B transformed once per (n, model, frame) by ``family_pencil``.
+
+Every sample, Hamiltonian or transformed, is a pencil A + c(p)*B with
+c = z or sqrt(1 - damping(lambda)).  The pencil is read once per (n, model,
+frame) by ``_sample_operand``, and ``_sample`` writes a + c*b in integers
+where B is nonzero and shares A's entries everywhere else.
 
 All constructors are pure and exact; parameters are exact rationals.
 """
@@ -34,8 +37,9 @@ from functools import lru_cache
 from enum import Enum
 from math import comb, factorial
 
-from .matrices import ExactMatrix, _accumulate, _read_rows, similarity
-from .radicals import ONE, GaussianRational, RadicalSum, invert_monomial
+from .matrices import ExactMatrix, similarity
+from .radicals import (GaussianRational, RadicalSum, invert_monomial,
+                       radicand_product)
 
 _ZERO = RadicalSum()
 
@@ -115,7 +119,9 @@ def jacobi_data(n: int, model: ModelId,
 
     BH: d_k = i*(2k - n + 1)*z and b_k = k*(n-k).  AO: d_k = 2k - n + 1 and
     b_k = -k*(n-k)*(1 - damping), with lambda checked by ``_coupling_scale``.
-    Both Hamiltonian constructors are built from this data.
+    Read once at the EP parameter, it gives both Hamiltonians' pencils
+    (``_pencil``), so a Hamiltonian sample is read from it through a cache;
+    the exact spectra read it at every parameter.
     """
     _check_dimension(n)
     if model is ModelId.BH:
@@ -127,25 +133,13 @@ def jacobi_data(n: int, model: ModelId,
             [-k * (n - k) * scale for k in range(1, n)])
 
 
-def _tridiagonal(diagonal, sup, sub) -> ExactMatrix:
-    """diagonal[k] at (k, k), sup[k-1] at (k-1, k), sub[k-1] at (k, k-1);
-    the couplings are canonical radical sums, taken as they are."""
-    n = len(diagonal)
-    return ExactMatrix._raw(tuple(
-        tuple(RadicalSum.of(diagonal[i]) if i == j else sup[i] if j == i + 1
-              else sub[j] if i == j + 1 else _ZERO for j in range(n))
-        for i in range(n)))
-
-
 def bh_hamiltonian(n: int, z) -> ExactMatrix:
     """Complex-symmetric tridiagonal family, dimension n, parameter z.
 
     Diagonal i*(2k - n + 1)*z for k = 0..n-1; couplings sqrt(k*(n-k))
     between rows k-1 and k on both off-diagonals.
     """
-    d, b = jacobi_data(n, ModelId.BH, z)
-    g = [RadicalSum.sqrt_rational(x) for x in b]
-    return _tridiagonal(d, g, g)
+    return _sample(n, ModelId.BH, "identity", z)
 
 
 def ao_hamiltonian(n: int, lam) -> ExactMatrix:
@@ -155,9 +149,7 @@ def ao_hamiltonian(n: int, lam) -> ExactMatrix:
     plus sign on the superdiagonal and a minus sign on the subdiagonal.  The
     damping must stay below 1 so every radicand is positive.
     """
-    d, b = jacobi_data(n, ModelId.AO, lam)
-    g = [RadicalSum.sqrt_rational(-x) for x in b]
-    return _tridiagonal(d, g, [-x for x in g])
+    return _sample(n, ModelId.AO, "identity", lam)
 
 
 def jordan_block(n: int, eta=0) -> ExactMatrix:
@@ -317,30 +309,75 @@ def family_pencil(n: int, model: ModelId,
     return similarity(base, q, q_inv), similarity(ep - base, q, q_inv)
 
 
+def _pencil(n: int, model: ModelId,
+            frame: str) -> tuple[ExactMatrix, ExactMatrix]:
+    """(A, B) with H(p) = A + c(p) * B in ``frame``: "identity" is the
+    Hamiltonian itself, read from ``jacobi_data`` at the EP parameter --
+    H_BH(z) = couplings + z * diagonal and H_AO(lambda) = diagonal +
+    sqrt(1 - damping) * couplings, the AO couplings negated below the
+    diagonal -- and every other frame is ``family_pencil``."""
+    if frame != "identity":
+        return family_pencil(n, model, frame)
+    d, b = jacobi_data(n, model, EP_PARAMETER[model][1])
+    g = [RadicalSum.sqrt_rational(abs(x)) for x in b]
+    sub = g if model is ModelId.BH else [-x for x in g]
+    couplings = ExactMatrix(
+        [[g[i] if j == i + 1 else sub[j] if i == j + 1 else 0
+          for j in range(n)] for i in range(n)])
+    diagonal = ExactMatrix.diagonal(d)
+    if model is ModelId.BH:
+        return couplings, diagonal
+    return diagonal, couplings
+
+
 @lru_cache(maxsize=None)
-def _pencil_operand(n: int, model: ModelId, frame: str):
-    """``family_pencil`` read once for the product kernel: A's rows, the
-    positions (i, j) where B is nonzero, and the left operand with one row
-    (A[i, j], B[i, j]) per such position."""
-    a, b = family_pencil(n, model, frame)
-    where = [(i, j) for i in range(n) for j in range(n) if b[i, j]]
-    pairs = ExactMatrix([(a[i, j], b[i, j]) for i, j in where])
-    return a.rows(), where, _read_rows(pairs)
+def _sample_operand(n: int, model: ModelId, frame: str):
+    """``_pencil`` read once for sampling: A's rows, and at every position
+    (i, j) where B is nonzero, A's canonical terms {radicand: coefficient},
+    the same terms as integer triples, and B's integer terms."""
+    a, b = _pencil(n, model, frame)
+    band = []
+    for i, row in enumerate(b.rows()):
+        for j, e in enumerate(row):
+            if e:
+                terms = a[i, j].integer_terms()
+                band.append((i, j, dict(a[i, j].items()),
+                             {m: (re, im, den) for m, re, im, den in terms},
+                             e.integer_terms()))
+    return a.rows(), tuple(band)
 
 
-def _pencil_family(n: int, model: ModelId, frame: str, param) -> ExactMatrix:
-    """A + c(param) * B from ``family_pencil``: one fused product of the
-    pencil operand with the column (1, c); where B is zero, A's entry."""
+def _sample(n: int, model: ModelId, frame: str, param) -> ExactMatrix:
+    """A + c(param) * B for the pencil of ``_pencil``, with c = z or
+    sqrt(1 - damping(lambda)), a single term.  Where B is nonzero each term
+    of c * B is one radicand product, added in integers to A's term of the
+    same radicand and made canonical with one gcd, a zero sum dropped; A's
+    other terms, and every entry where B is zero, are A's own."""
     _check_dimension(n)
     if model is ModelId.BH:
         c = RadicalSum.of(_as_fraction(param))
     else:
         c = RadicalSum.sqrt_rational(_coupling_scale(n, param))
-    a_rows, where, operand = _pencil_operand(n, model, frame)
+    a_rows, band = _sample_operand(n, model, frame)
+    if not c:
+        return ExactMatrix._raw(a_rows)
+    ((mc, cr, ci, cd),) = c.integer_terms()
     rows = [list(r) for r in a_rows]
-    sample = _accumulate(operand, ExactMatrix._raw(((ONE,), (c,))))
-    for (i, j), (v,) in zip(where, sample.rows()):
-        rows[i][j] = v
+    for i, j, a_terms, a_ints, b in band:
+        out = dict(a_terms)
+        for m, br, bi, bd in b:
+            key, g = radicand_product(mc, m)
+            re, im = (cr * br - ci * bi) * g, (cr * bi + ci * br) * g
+            den = cd * bd
+            t = a_ints.get(key)
+            if t is not None:
+                ar, ai, ad = t
+                re, im, den = re * ad + ar * den, im * ad + ai * den, den * ad
+                if not (re or im):
+                    del out[key]
+                    continue
+            out[key] = GaussianRational._make(re, im, den)
+        rows[i][j] = RadicalSum._raw(out)
     return ExactMatrix._raw(tuple(map(tuple, rows)))
 
 
@@ -348,27 +385,27 @@ def bh_in_jordan_basis(n: int, z) -> ExactMatrix:
     """The complex-symmetric Hamiltonian conjugated into the basis of its own
     EP transition matrix: Q^-1 @ H(z) @ Q.  Equals the nilpotent Jordan block
     at z = 1."""
-    return _pencil_family(n, ModelId.BH, "transition", z)
+    return _sample(n, ModelId.BH, "transition", z)
 
 
 def ao_in_jordan_basis(n: int, lam) -> ExactMatrix:
     """The real asymmetric Hamiltonian conjugated into the basis of its own
     EP transition matrix: Q^-1 @ H(lambda) @ Q.  Equals the nilpotent Jordan
     block at lambda = 0."""
-    return _pencil_family(n, ModelId.AO, "transition", lam)
+    return _sample(n, ModelId.AO, "transition", lam)
 
 
 def bh_in_ao_frame(n: int, z) -> ExactMatrix:
     """S @ H_BH(z) @ S^-1: the complex-symmetric dynamics written in the real
     asymmetric model's frame.  Equals ao_hamiltonian(n, 0) at z = 1."""
-    return _pencil_family(n, ModelId.BH, "intertwiner", z)
+    return _sample(n, ModelId.BH, "intertwiner", z)
 
 
 def ao_in_bh_frame(n: int, lam) -> ExactMatrix:
     """S^-1 @ H_AO(lambda) @ S: the real asymmetric dynamics written in the
     complex-symmetric model's frame.  Equals bh_hamiltonian(n, 1) at
     lambda = 0."""
-    return _pencil_family(n, ModelId.AO, "intertwiner", lam)
+    return _sample(n, ModelId.AO, "intertwiner", lam)
 
 
 def ep_hamiltonian(n: int, model: ModelId) -> ExactMatrix:

@@ -302,8 +302,8 @@ class RadicalSum:
     def integer_terms(self) -> tuple[tuple[int, int, int, int], ...]:
         """Terms as (radicand, re, im, den) integer quadruples, each
         coefficient's own triple: the term is (re + im*i)/den * sqrt(m)."""
-        return tuple((m, c._re, c._im, c._den)
-                     for m, c in self._terms.items())
+        return tuple([(m, c._re, c._im, c._den)
+                      for m, c in self._terms.items()])
 
     @classmethod
     def from_integer_sums(cls, sums: dict[int, list[int]]) -> "RadicalSum":

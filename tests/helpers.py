@@ -8,6 +8,7 @@ import math
 import random
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import partial
 
 from hypothesis import strategies as st
 
@@ -36,6 +37,11 @@ def zeros(n_rows: int, n_cols: int) -> ExactMatrix:
 
 def transpose(m: ExactMatrix) -> ExactMatrix:
     return ExactMatrix(zip(*m.rows()))
+
+
+def is_zero(m: ExactMatrix) -> bool:
+    """Whether every entry of ``m`` is exactly zero."""
+    return all(not e for row in m.rows() for e in row)
 
 
 def with_entry(m: ExactMatrix, i: int, j: int, value) -> ExactMatrix:
@@ -366,3 +372,24 @@ def similarity_family(name: str, n: int, param) -> ExactMatrix:
     q_inv @ H(param) @ q through ``matrices.similarity``."""
     h, q, q_inv = SIMILARITY_DEFINITIONS[name]
     return similarity(h(n, param), q(n), q_inv(n))
+
+
+def jacobi_tridiagonal(model: ModelId, n: int, param) -> ExactMatrix:
+    """Reference Hamiltonian, built per sample: the tridiagonal of
+    ``models.jacobi_data`` at ``param``, each coupling its own
+    ``sqrt_rational`` of |b_k|, negated below the diagonal for AO."""
+    d, b = models.jacobi_data(n, model, param)
+    g = [RadicalSum.sqrt_rational(abs(x)) for x in b]
+    sub = g if model is ModelId.BH else [-x for x in g]
+    return ExactMatrix([[d[i] if i == j else g[i] if j == i + 1
+                         else sub[j] if i == j + 1 else 0
+                         for j in range(n)] for i in range(n)])
+
+
+# every scenario sample kind -> its reference (n, param) -> matrix
+REFERENCE_SAMPLES = {
+    **{name: partial(similarity_family, name)
+       for name in SIMILARITY_DEFINITIONS},
+    "bh_hamiltonian": partial(jacobi_tridiagonal, ModelId.BH),
+    "ao_hamiltonian": partial(jacobi_tridiagonal, ModelId.AO),
+}

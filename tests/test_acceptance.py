@@ -39,6 +39,7 @@ from helpers import (
     GOLDEN_Q_BH,
     GOLDEN_R,
     GOLDEN_S,
+    is_zero,
     leibniz_char_poly,
     perturb_constructor,
     random_matrix,
@@ -232,4 +233,5 @@ def test_criterion_11_property_suites():
                                                where=where))
                 broken = run()
             assert not broken.passed, attr
-            assert broken.residual is not None and not broken.residual.is_zero()
+            assert broken.residual is not None
+            assert not is_zero(broken.residual)

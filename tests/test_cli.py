@@ -289,12 +289,13 @@ def test_scenario_out_of_domain_time(capsys):
 
 
 @pytest.mark.parametrize("row, n, t", [
-    (3, 3, "1/1" + "0" * 400),  # coupling radicand 2 * (10^400 - 1) * 10^400
-    (2, 8, f"1/{2 ** 40}"),  # pencil scalar: (2^120 - 2^80 - 2^40 - 1) * 2^120
+    (3, 3, "1/1" + "0" * 400),  # scalar radicand (10^400 - 1) * 10^400
+    (2, 8, f"1/{2 ** 40}"),  # scalar: (2^120 - 2^80 - 2^40 - 1) * 2^120
 ])
 def test_scenario_radicand_that_cannot_be_split_is_refused(row, n, t):
-    # each radicand keeps a cofactor with no prime factor below 2^21 and
-    # two or more above it; trial division to its cube root ran for hours
+    # the radicand of the sample's scalar sqrt(1 - damping) keeps a cofactor
+    # with no prime factor below 2^21 and two or more above it; trial
+    # division to its cube root ran for hours
     done = run_process("scenario", "--row", str(row), "--N", str(n),
                        "--t", t, timeout=20)
     assert done.returncode == 2

@@ -21,10 +21,9 @@ from helpers import (
     GOLDEN_Q_BH,
     GOLDEN_R,
     GOLDEN_S,
-    SIMILARITY_DEFINITIONS,
+    REFERENCE_SAMPLES,
     T,
     assert_canonical,
-    similarity_family,
     transpose,
 )
 
@@ -151,10 +150,12 @@ def test_damping_is_the_power_sum(lam):
 # The six scenario families, with parameters inside each one's domain at
 # every N below; the oscillator's 2^-40 radicand is refused from N = 8 on.
 _FAMILY_PARAMS = {
-    models.bh_hamiltonian: [-1, Fraction(-5, 16), 0, Fraction(1, 64), 1],
+    models.bh_hamiltonian: [-1, Fraction(-5, 16), 0, Fraction(1, 64),
+                            Fraction(1, 2), 1],
     models.bh_in_jordan_basis: [-1, Fraction(-5, 16), 0, Fraction(1, 64), 1],
     models.bh_in_ao_frame: [-1, Fraction(-5, 16), 0, Fraction(1, 64), 1],
-    models.ao_hamiltonian: [0, Fraction(1, 64), Fraction(5, 16)],
+    models.ao_hamiltonian: [0, Fraction(1, 64), Fraction(1, 8),
+                            Fraction(5, 16)],
     models.ao_in_jordan_basis: [0, Fraction(1, 64), Fraction(5, 16)],
     models.ao_in_bh_frame: [0, Fraction(1, 64), Fraction(5, 16)],
 }
@@ -301,7 +302,9 @@ def test_frame_swaps_at_the_ep():
 
 # in-domain parameters per model: the EP, off-EP points, z < 0 for BH, the
 # pencil base alone (z = 0, c = 0), the opposite EP z = -1, and parameters
-# with a 2^40 denominator
+# with a 2^40 denominator.  Every sample kind, the Hamiltonians included,
+# is the cached pencil A + c * B evaluated where B is nonzero, and must
+# equal its reference built per sample
 _PENCIL_PARAMS = {
     "bh": [Fraction(1), Fraction(1, 2), Fraction(3, 7), Fraction(1, 8),
            Fraction(17, 64), Fraction(-1, 2), Fraction(0), Fraction(-1),
@@ -311,7 +314,7 @@ _PENCIL_PARAMS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(SIMILARITY_DEFINITIONS))
+@pytest.mark.parametrize("name", sorted(REFERENCE_SAMPLES))
 def test_pencil_families_equal_per_sample_similarity(name):
     for n in (2, 3, 5, 8):
         for p in _PENCIL_PARAMS[name[:2]]:
@@ -322,7 +325,11 @@ def test_pencil_families_equal_per_sample_similarity(name):
                 # prime), which squarefree_decompose cannot split below its
                 # trial bound and refuses with InvalidRadicand
                 continue
-            assert getattr(models, name)(n, p) == similarity_family(name, n, p)
+            sample = getattr(models, name)(n, p)
+            assert sample == REFERENCE_SAMPLES[name](n, p), (n, p)
+            for row in sample.rows():
+                for e in row:
+                    assert_canonical(e)
 
 
 def _raised(fn, *args) -> tuple[type, str]:
@@ -331,7 +338,7 @@ def _raised(fn, *args) -> tuple[type, str]:
     return type(info.value), str(info.value)
 
 
-@pytest.mark.parametrize("name", sorted(SIMILARITY_DEFINITIONS))
+@pytest.mark.parametrize("name", sorted(REFERENCE_SAMPLES))
 def test_pencil_families_raise_like_the_definition(name):
     bad = [(1, Fraction(1, 2)), (1, Fraction(-1, 2)), (3, 0.5)]
     if name.startswith("ao"):
@@ -339,7 +346,7 @@ def test_pencil_families_raise_like_the_definition(name):
                 (6, Fraction(3, 4))]
     for n, p in bad:
         assert _raised(getattr(models, name), n, p) == \
-            _raised(similarity_family, name, n, p)
+            _raised(REFERENCE_SAMPLES[name], n, p)
 
 
 def test_ep_helpers():

@@ -20,7 +20,12 @@ from epgate.verify import (
     run_suite,
     _report,
 )
-from helpers import fresh_model_caches, perturb_constructor
+from helpers import (
+    fresh_model_caches,
+    is_zero,
+    perturb_constructor,
+    with_entry,
+)
 
 
 def _assert_clean_pass(report: VerificationReport):
@@ -104,7 +109,7 @@ def test_ep_degeneracy_samples():
 def _assert_detected(report: VerificationReport):
     assert not report.passed
     assert report.residual is not None
-    assert not report.residual.is_zero()
+    assert not is_zero(report.residual)
 
 
 def test_fault_injection_ep_schrodinger(monkeypatch):
@@ -230,10 +235,11 @@ def test_fault_injection_charpoly_similarity_hamiltonian(monkeypatch, model):
         _assert_detected(check_charpoly_similarity(4, model, param, frame))
 
 
-# The transformed families read their frame through the lru-cached
-# ``models._pencil_operand``; the conftest fixture empties it before the
-# patch, so the pencil is built from the patched constructor and a wrong
-# frame matrix still fails the checks that use it.
+# Every sample, the Hamiltonians included, is read from the lru-cached
+# ``models._sample_operand``; the conftest fixture empties it before the
+# patch, so the operand is built from the patched constructor and a wrong
+# frame matrix, pencil or tridiagonal data still fails the checks that use
+# it.
 
 def test_fault_injection_intertwiner_through_the_pencil(monkeypatch):
     monkeypatch.setattr(models, "intertwiner",
@@ -248,6 +254,46 @@ def test_fault_injection_ao_transition_through_the_pencil(monkeypatch):
                         perturb_constructor(models.transition))
     _assert_detected(check_charpoly_similarity(4, ModelId.AO, Fraction(1, 8),
                                                "transition"))
+
+
+@pytest.mark.parametrize("where", [(0, 3), (0, 0)],
+                         ids=["off-band", "in-band"])
+def test_fault_injection_family_pencil(monkeypatch, where):
+    # A's entry shifted where B is zero (shared into every sample) or where
+    # B is nonzero (summed with c * B in each sample)
+    original = models.family_pencil
+    i, j = where
+    for model in ModelId:
+        for frame in ("transition", "intertwiner"):
+            _, b = original(4, model, frame)
+            assert bool(b[i, j]) == (where == (0, 0))  # in-band iff B != 0
+
+    def perturbed(n, model, frame):
+        a, b = original(n, model, frame)
+        return with_entry(a, i, j, a[i, j] + 1), b
+
+    monkeypatch.setattr(models, "family_pencil", perturbed)
+    for row in range(1, 7):
+        _assert_detected(check_scenario_matching(4, row))
+    for model, param in ((ModelId.BH, Fraction(1, 2)),
+                         (ModelId.AO, Fraction(1, 8))):
+        for frame in ("transition", "intertwiner"):
+            _assert_detected(check_charpoly_similarity(4, model, param, frame))
+
+
+@pytest.mark.parametrize("model", list(ModelId), ids=lambda m: m.value)
+def test_fault_injection_jacobi_data(monkeypatch, model):
+    # both Hamiltonians are read from jacobi_data at the EP parameter, once
+    # per (N, model), so a wrong coupling product shows in the EP checks
+    original = models.jacobi_data
+
+    def perturbed(n, model, param):
+        d, b = original(n, model, param)
+        return d, [2 * b[0]] + b[1:]
+
+    monkeypatch.setattr(models, "jacobi_data", perturbed)
+    _assert_detected(check_ep_degeneracy(4, model))
+    _assert_detected(check_jordanization(4, model))
 
 
 def test_fault_injection_ep_degeneracy(monkeypatch):
