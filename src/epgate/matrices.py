@@ -347,6 +347,13 @@ class ExactPolynomial:
         self._coeffs = tuple(coeffs)
 
     @classmethod
+    def _raw(cls, coeffs: tuple[RadicalSum, ...]) -> "ExactPolynomial":
+        # internal fast path: caller guarantees canonical, trimmed coefficients
+        out = object.__new__(cls)
+        out._coeffs = coeffs
+        return out
+
+    @classmethod
     def power(cls, n: int) -> "ExactPolynomial":
         """The monic monomial E**n."""
         return cls([_ZERO] * n + [_ONE])

@@ -35,11 +35,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from enum import Enum
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 from .matrices import ExactMatrix, similarity
 from .radicals import (GaussianRational, RadicalSum, invert_monomial,
-                       radicand_product)
+                       radicand_product, squarefree_decompose)
 
 _ZERO = RadicalSum()
 
@@ -95,20 +95,21 @@ def damping(n: int, lam) -> Fraction:
 # Hamiltonian families
 # ---------------------------------------------------------------------------
 
-def _coupling_scale(n: int, lam) -> Fraction:
-    """1 - damping(lambda), the factor under every coupling's square root of
-    the real asymmetric family; it must stay positive.  The coupling radicand
-    k*(n-k)*(1 - damping) has its smallest factor k*(n-k) at k = 1, so the
-    first row pair to leave the domain is (0,1)."""
+def _checked_damping(n: int, lam) -> Fraction:
+    """damping(lambda) = p/q, checked so that 1 - damping = (q - p)/q, the
+    factor under every coupling's square root, stays positive.  The coupling
+    radicand k*(n-k)*(1 - damping) has its smallest factor k*(n-k) at k = 1,
+    so the first row pair to leave the domain is (0,1)."""
     lam = _as_fraction(lam)
-    if lam < 0:
+    if lam.numerator < 0:
         raise DomainError(f"lambda must be >= 0, got {lam}")
-    scale = 1 - damping(n, lam)
-    if scale <= 0:
+    d = damping(n, lam)
+    p, q = d.numerator, d.denominator
+    if p >= q:
         raise NonPositiveRadicand(
-            f"coupling radicand {(n - 1) * scale} at row pair (0,1); "
-            f"lambda = {lam} is outside the model domain")
-    return scale
+            f"coupling radicand {Fraction((n - 1) * (q - p), q)} at row pair "
+            f"(0,1); lambda = {lam} is outside the model domain")
+    return d
 
 
 def jacobi_data(n: int, model: ModelId,
@@ -118,7 +119,7 @@ def jacobi_data(n: int, model: ModelId,
     H[k][k-1] of paired couplings, k = 1..n-1.
 
     BH: d_k = i*(2k - n + 1)*z and b_k = k*(n-k).  AO: d_k = 2k - n + 1 and
-    b_k = -k*(n-k)*(1 - damping), with lambda checked by ``_coupling_scale``.
+    b_k = -k*(n-k)*(1 - damping), with lambda checked by ``_checked_damping``.
     Read once at the EP parameter, it gives both Hamiltonians' pencils
     (``_pencil``), so a Hamiltonian sample is read from it through a cache;
     the exact spectra read it at every parameter.
@@ -128,7 +129,7 @@ def jacobi_data(n: int, model: ModelId,
         z = _as_fraction(param)
         return ([GaussianRational(0, (2 * k - n + 1) * z) for k in range(n)],
                 [Fraction(k * (n - k)) for k in range(1, n)])
-    scale = _coupling_scale(n, param)
+    scale = 1 - _checked_damping(n, param)
     return ([GaussianRational(2 * k - n + 1) for k in range(n)],
             [-k * (n - k) * scale for k in range(1, n)])
 
@@ -348,36 +349,43 @@ def _sample_operand(n: int, model: ModelId, frame: str):
 
 
 def _sample(n: int, model: ModelId, frame: str, param) -> ExactMatrix:
-    """A + c(param) * B for the pencil of ``_pencil``, with c = z or
-    sqrt(1 - damping(lambda)), a single term.  Where B is nonzero each term
-    of c * B is one radicand product, added in integers to A's term of the
-    same radicand and made canonical with one gcd, a zero sum dropped; A's
-    other terms, and every entry where B is zero, are A's own."""
+    """A + c(param) * B for the pencil of ``_pencil``, with the real scalar
+    c = cr/cd * sqrt(mc) = z or sqrt(1 - damping(lambda)).  Where B is
+    nonzero each term of c * B (a radicand product unless mc = 1) is added
+    in integers to A's term of the same radicand and made canonical with one
+    gcd, a zero sum dropped; every other entry is A's own."""
     _check_dimension(n)
     if model is ModelId.BH:
-        c = RadicalSum.of(_as_fraction(param))
+        z = _as_fraction(param)
+        mc, cr, cd = 1, z.numerator, z.denominator
     else:
-        c = RadicalSum.sqrt_rational(_coupling_scale(n, param))
+        d = _checked_damping(n, param)  # p/q, and c = sqrt(q * (q - p)) / q
+        cd = d.denominator
+        mc, cr = squarefree_decompose(cd * (cd - d.numerator))
     a_rows, band = _sample_operand(n, model, frame)
-    if not c:
+    if not cr:
         return ExactMatrix._raw(a_rows)
-    ((mc, cr, ci, cd),) = c.integer_terms()
     rows = [list(r) for r in a_rows]
     for i, j, a_terms, a_ints, b in band:
         out = dict(a_terms)
         for m, br, bi, bd in b:
-            key, g = radicand_product(mc, m)
-            re, im = (cr * br - ci * bi) * g, (cr * bi + ci * br) * g
-            den = cd * bd
-            t = a_ints.get(key)
+            re, im, den = cr * br, cr * bi, cd * bd
+            if mc != 1:
+                m, g = radicand_product(mc, m)
+                re, im = re * g, im * g
+            t = a_ints.get(m)
             if t is not None:
                 ar, ai, ad = t
                 re, im, den = re * ad + ar * den, im * ad + ai * den, den * ad
                 if not (re or im):
-                    del out[key]
+                    del out[m]
                     continue
-            out[key] = GaussianRational._make(re, im, den)
-        rows[i][j] = RadicalSum._raw(out)
+            # GaussianRational._make and RadicalSum._raw, written inline
+            g = gcd(re, im, den)
+            out[m] = c = object.__new__(GaussianRational)
+            c._re, c._im, c._den = re // g, im // g, den // g
+        rows[i][j] = e = object.__new__(RadicalSum)
+        e._terms = out
     return ExactMatrix._raw(tuple(map(tuple, rows)))
 
 

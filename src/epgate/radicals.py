@@ -134,7 +134,7 @@ class GaussianRational:
     @staticmethod
     def _make(re: int, im: int, den: int) -> "GaussianRational":
         """(re + im*i)/den in lowest terms, for a positive den."""
-        g = gcd(gcd(re, im), den)
+        g = gcd(re, im, den)
         out = object.__new__(GaussianRational)
         out._re, out._im, out._den = re // g, im // g, den // g
         return out

@@ -71,15 +71,15 @@ class PathSample:
 
 
 def _z_forward(t: Fraction) -> Fraction:
-    z = 1 + t
-    if z < -1 or z > 1:
+    p, q = t.numerator, t.denominator
+    if p > 0 or p < -2 * q:  # z = 1 + t outside [-1, 1]
         raise DomainError(f"t = {t} leaves the unit parameter interval "
                           "(the opposite exceptional point sits at z = -1)")
-    return z
+    return Fraction(p + q, q)
 
 
 def _lam_forward(t: Fraction) -> Fraction:
-    if t < 0:
+    if t.numerator < 0:
         raise DomainError(f"t = {t} gives a negative oscillator parameter")
     return t
 
@@ -139,9 +139,9 @@ def hamiltonian_at(row: int, n: int, t) -> ExactMatrix:
 
 
 def _matrix_at(path: ScenarioPath, t: Fraction) -> ExactMatrix:
-    if t < 0:
+    if t.numerator < 0:
         return path.left_family(t)
-    if t > 0:
+    if t.numerator > 0:
         return path.right_family(t)
     return path.ep_matrix
 
@@ -161,7 +161,7 @@ def sample_path(row: int, n: int, t_values) -> list[PathSample]:
     for t in t_values:
         t = models._as_fraction(t)
         matrix = _matrix_at(path, t)
-        name, side = ((param.left_name, param.left) if t <= 0
+        name, side = ((param.left_name, param.left) if t.numerator <= 0
                       else (param.right_name, param.right))
         model = ModelId.BH if name == "z" else ModelId.AO
         poly, roots = spectra.certified_spectrum(n, model, side(t))

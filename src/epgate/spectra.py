@@ -167,10 +167,11 @@ def _recurrence(d, b) -> ExactPolynomial:
                         ar[j] -= cr * vr - ci * vi
                         ai[j] -= cr * vi + ci * vr
         prev1, prev2 = nxt, prev1
-    return ExactPolynomial(
+    # from_integer_sums is canonical and the leading coefficient is 1
+    return ExactPolynomial._raw(tuple(
         RadicalSum.from_integer_sums(
             {m: (re[j], im[j], s ** (n - j)) for m, (re, im) in prev1.items()})
-        for j in range(n + 1))
+        for j in range(n + 1)))
 
 
 def find_roots(p: FloatPolynomial, tol: float = 1e-12,
@@ -230,7 +231,8 @@ def ladder_d(n: int, model: ModelId, param) -> Fraction:
     AO.  d = 0 exactly at the exceptional point."""
     param = models._as_fraction(param)
     if model is ModelId.BH:
-        return 1 - param * param
+        p, q = param.numerator, param.denominator
+        return Fraction(q * q - p * p, q * q)
     return models.damping(n, param)
 
 
@@ -256,7 +258,7 @@ def ladder_poly(n: int, d: Fraction) -> ExactPolynomial:
             out[n - 2 * j] = RadicalSum._raw(
                 {1: GaussianRational._make(e * num_j, 0, den_j)})
         num_j, den_j = num_j * num, den_j * den
-    return ExactPolynomial(out)
+    return ExactPolynomial._raw(tuple(out))
 
 
 def ladder_roots(n: int, d: Fraction) -> tuple[complex, ...]:
@@ -266,20 +268,20 @@ def ladder_roots(n: int, d: Fraction) -> tuple[complex, ...]:
     ``DomainError``; a nonzero |d| below the normal floats (2.2e-308) is
     rooted from its numerator and denominator, so it does not round to the
     exceptional point's d = 0."""
+    num, den = abs(d.numerator), d.denominator
     try:
-        size = abs(float(d))
+        size = num / den  # correctly rounded, as float(d) is
     except OverflowError:
         raise DomainError("the ladder step sqrt(|d|) overflows a float "
                           "(|d| > 1.8e308)") from None
-    if size >= float_info.min or not d:
+    if size >= float_info.min or not num:
         unit = sqrt(size)
     else:
         # isqrt of |d| * 4^s with about 130 bits, scaled back by 2^-s
-        num, den = abs(d.numerator), d.denominator
         s = (130 - num.bit_length() + den.bit_length()) // 2
         unit = ldexp(isqrt((num << 2 * s) // den), -s)
     steps = [m * unit + 0.0 for m in range(1 - n, n, 2)]  # -0.0 + 0.0 = 0.0
-    if d >= 0:
+    if d.numerator >= 0:
         return tuple(complex(x, 0.0) for x in steps)
     return tuple(complex(0.0, y) for y in steps)
 
@@ -328,7 +330,7 @@ def certified_spectrum(n: int, model: ModelId, param
     them."""
     models._check_dimension(n)
     param = models._as_fraction(param)
-    d = (1 - models._coupling_scale(n, param) if model is ModelId.AO
+    d = (models._checked_damping(n, param) if model is ModelId.AO
          else ladder_d(n, model, param))
     _prove_ladder(n, model)
     return ladder_poly(n, d), ladder_roots(n, d)

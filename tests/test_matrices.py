@@ -220,7 +220,7 @@ def test_matmul_pencil_sample_shape(model):
     a, b = models.family_pencil(n, model, "intertwiner")
     pairs = ExactMatrix([(a[i, j], b[i, j]) for i in range(n)
                          for j in range(n)])
-    scale = models._coupling_scale(n, Fraction(1, 8))
+    scale = 1 - models._checked_damping(n, Fraction(1, 8))
     for c in (RadicalSum.sqrt_rational(scale), RadicalSum.of(Fraction(3, 4)),
               RadicalSum()):
         column = ExactMatrix([[1], [c]])

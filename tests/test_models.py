@@ -332,6 +332,20 @@ def test_pencil_families_equal_per_sample_similarity(name):
                     assert_canonical(e)
 
 
+@pytest.mark.parametrize("n, lam", [(3, Fraction(3, 4)), (5, Fraction(3, 4)),
+                                    (6, Fraction(1, 2))], ids=str)
+def test_ao_samples_with_a_rational_scalar(n, lam):
+    # 1 - damping = 1/4 is a rational square, so c = 1/2 takes the path
+    # without a radicand product (mc = 1) in all three AO sample kinds
+    assert models._checked_damping(n, lam) == Fraction(3, 4)
+    for name in ("ao_hamiltonian", "ao_in_jordan_basis", "ao_in_bh_frame"):
+        sample = getattr(models, name)(n, lam)
+        assert sample == REFERENCE_SAMPLES[name](n, lam), name
+        for row in sample.rows():
+            for e in row:
+                assert_canonical(e)
+
+
 def _raised(fn, *args) -> tuple[type, str]:
     with pytest.raises(ValueError) as info:
         fn(*args)

@@ -12,6 +12,7 @@ from epgate.scenarios import (
     scenario_path,
 )
 from epgate.spectra import char_poly_tridiagonal, ladder_d, ladder_roots
+from helpers import REFERENCE_SAMPLES
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +93,39 @@ def test_domain_left_boundary():
         hamiltonian_at(1, 3, Fraction(-9, 4))
     with pytest.raises(DomainError):
         hamiltonian_at(6, 3, Fraction(9, 4))
+
+
+# each forward row's (complex-symmetric, real asymmetric) family names
+_SIDES = {1: ("bh_hamiltonian", "ao_in_bh_frame"),
+          2: ("bh_in_jordan_basis", "ao_in_jordan_basis"),
+          3: ("bh_in_ao_frame", "ao_hamiltonian")}
+
+
+@pytest.mark.parametrize("row", range(1, 7))
+def test_sign_edges_of_the_time_maps(row):
+    # the domain edges are read from the sign of t's numerator: z = 1 + t at
+    # t = 0 (z = 1, one-sided) and t = -2 (z = -1) are in the domain, one
+    # step of 1/64 past z = -1 is refused, and so is lambda = -1/64; rows
+    # 4-6 run the same maps at -t
+    n, sign = 4, (1 if row <= 3 else -1)
+    bh_name, ao_name = _SIDES[min(row, 7 - row)]
+    path = scenario_path(row, n)
+    param = path.parametrization
+    bh_side, ao_side, lam_map = (
+        (path.left_family, path.right_family, param.right) if row <= 3
+        else (path.right_family, path.left_family, param.left))
+    assert bh_side(Fraction(0)) == REFERENCE_SAMPLES[bh_name](n, Fraction(1))
+    assert ao_side(Fraction(0)) == REFERENCE_SAMPLES[ao_name](n, Fraction(0))
+    assert hamiltonian_at(row, n, -2 * sign) == \
+        REFERENCE_SAMPLES[bh_name](n, Fraction(-1))
+    with pytest.raises(DomainError) as info:
+        hamiltonian_at(row, n, sign * Fraction(-129, 64))
+    assert str(info.value) == (
+        "t = -129/64 leaves the unit parameter interval "
+        "(the opposite exceptional point sits at z = -1)")
+    with pytest.raises(DomainError) as info:
+        lam_map(sign * Fraction(-1, 64))
+    assert str(info.value) == "t = -1/64 gives a negative oscillator parameter"
 
 
 def test_domain_right_boundary():
@@ -244,4 +278,34 @@ def test_sample_path_proves_each_ladder_once(monkeypatch):
     calls.clear()
     sample_path(2, 8, ts)
     sample_path(5, 8, ts)
+    assert calls == []
+
+
+_FRACTION_ORDER = ("__lt__", "__le__", "__gt__", "__ge__")
+
+
+def test_warm_sample_path_makes_no_fraction_comparison(monkeypatch):
+    # a warm sample reads every sign and domain edge from integer
+    # numerators and denominators; a Fraction comparison on the per-sample
+    # path is a regression of its cost
+    ts = [Fraction(-31, 64), Fraction(-1, 16), Fraction(0), Fraction(1, 64),
+          Fraction(1, 2)]
+    for row in range(1, 7):
+        sample_path(row, 8, ts)
+    calls = []
+
+    def counted(name):
+        original = getattr(Fraction, name)
+
+        def wrapper(self, other):
+            calls.append(name)
+            return original(self, other)
+        return wrapper
+
+    for name in _FRACTION_ORDER:
+        monkeypatch.setattr(Fraction, name, counted(name))
+    assert Fraction(1, 2) < 1 and calls == ["__lt__"]  # the patch counts
+    calls.clear()
+    for row in range(1, 7):
+        sample_path(row, 8, ts)
     assert calls == []

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from epgate.spectra import (
     reality_scan,
 )
 from helpers import (
+    assert_canonical,
     factor_by_factor_ladder_poly,
     gaussian_tridiagonal_char_poly,
     is_zero,
@@ -178,6 +180,57 @@ def test_integer_ladder_poly_matches_factor_by_factor_product():
         for d in ds:
             assert ladder_poly(n, d) == factor_by_factor_ladder_poly(n, d), \
                 (n, d)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_raw_polynomials_are_canonical_and_trimmed(n):
+    # ladder_poly and the recurrence build their results without
+    # ExactPolynomial's coercion; passing them through it changes nothing
+    polys = [ladder_poly(n, d) for d in (Fraction(0), Fraction(-3, 7),
+                                         Fraction(5, 2 ** 40))]
+    if n >= 2:
+        polys += [char_poly_tridiagonal(n, model, p) for model in ModelId
+                  for p in (Fraction(0), Fraction(1, 2), Fraction(3, 7))]
+    for p in polys:
+        assert p.coefficients == ExactPolynomial(list(p.coefficients)) \
+            .coefficients
+        assert p.degree == n and p.is_monic
+        for c in p.coefficients:
+            assert_canonical(c)
+
+
+def _float_ladder_roots(n: int, d: Fraction) -> tuple[complex, ...]:
+    """Reference roots of the ladder, read through float(d) and Fraction
+    comparisons: sqrt(|d|) in floats, or for a nonzero |d| below the normal
+    floats from an integer square root of |d| * 4^s."""
+    size = abs(float(d))
+    if size >= sys.float_info.min or d == 0:
+        unit = math.sqrt(size)
+    else:
+        s = (130 - abs(d.numerator).bit_length()
+             + d.denominator.bit_length()) // 2
+        unit = math.ldexp(math.isqrt(math.floor(abs(d) * 4 ** s)), -s)
+    steps = [m * unit + 0.0 for m in range(1 - n, n, 2)]
+    return tuple(complex(x, 0.0) if d >= 0 else complex(0.0, x)
+                 for x in steps)
+
+
+_LADDER_D = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(max_value=0, max_denominator=10 ** 6),
+    st.fractions(min_value=-10 ** 6, max_value=10 ** 6),
+    st.builds(lambda k, sign: Fraction(sign, 10 ** k),
+              st.integers(1, 450), st.sampled_from([1, -1])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 24), _LADDER_D)
+def test_ladder_against_a_fraction_reference(n, d):
+    roots = ladder_roots(n, d)
+    ref = _float_ladder_roots(n, d)
+    assert [(repr(r.real), repr(r.imag)) for r in roots] == \
+        [(repr(r.real), repr(r.imag)) for r in ref], (n, d)
+    assert ladder_poly(n, d) == factor_by_factor_ladder_poly(n, d), (n, d)
 
 
 def test_ladder_roots_below_the_normal_floats():
