@@ -40,6 +40,9 @@ def _as_fraction(x) -> Fraction:
 
 _TRIAL_BOUND = 2 ** 21
 
+# each distinct AO parameter adds a radicand (~300 B) to this cache
+_SQUAREFREE_CACHE_SIZE = 4096
+
 
 def _big_prime(n: int) -> bool:
     """Whether n is a prime in [2^63, 3.317e24): Miller-Rabin with the first
@@ -54,7 +57,7 @@ def _big_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_SQUAREFREE_CACHE_SIZE)
 def squarefree_decompose(n: int) -> tuple[int, int]:
     """Split a positive integer as n = f**2 * s with s squarefree.
 
@@ -463,4 +466,3 @@ def invert_monomial(a: RadicalSum) -> RadicalSum:
 
 ZERO = RadicalSum()
 ONE = RadicalSum.of(1)
-I = RadicalSum.gaussian(0, 1)

@@ -90,30 +90,25 @@ def _reversed(f: Callable) -> Callable:
 
 
 # Rows 1-3 as (interface matrix, complex-symmetric side, real asymmetric
-# side); rows 4-6 are built as their time reversals.  The interface takes
-# ``literal_zero_ep``, each side its model parameter.  Every entry looks its
-# constructor up in ``models`` when called, so a patched one is seen.
+# side); rows 4-6 are built as their time reversals.  Each takes n, a side
+# also its model parameter, and looks its constructor up in ``models`` when
+# called, so a patched one is seen.
 _ROWS = {
-    1: (lambda n, literal: models.bh_hamiltonian(n, 0 if literal else 1),
+    1: (lambda n: models.bh_hamiltonian(n, 1),
         lambda n, z: models.bh_hamiltonian(n, z),
         lambda n, lam: models.ao_in_bh_frame(n, lam)),
-    2: (lambda n, literal: models.jordan_block(n, 0),
+    2: (lambda n: models.jordan_block(n, 0),
         lambda n, z: models.bh_in_jordan_basis(n, z),
         lambda n, lam: models.ao_in_jordan_basis(n, lam)),
-    3: (lambda n, literal: models.ao_hamiltonian(n, 0),
+    3: (lambda n: models.ao_hamiltonian(n, 0),
         lambda n, z: models.bh_in_ao_frame(n, z),
         lambda n, lam: models.ao_hamiltonian(n, lam)),
 }
 
 
-def scenario_path(row: int, n: int,
-                  literal_zero_ep: bool = False) -> ScenarioPath:
-    """Build one scenario row at dimension n.
-
-    ``literal_zero_ep`` replaces the interface matrix of rows 1 and 6 by the
-    z = 0 member of the complex-symmetric family (the non-EP literal reading
-    of the interface tables); with it the matching identity fails by design.
-    """
+def scenario_path(row: int, n: int) -> ScenarioPath:
+    """Build one scenario row at dimension n, its interface matrix the
+    exceptional-point member both families reach at t = 0."""
     if row not in ROW_LABELS:
         raise DomainError(f"scenario row must be 1..6, got {row}")
     models._check_dimension(n)
@@ -127,7 +122,7 @@ def scenario_path(row: int, n: int,
                                 param.left_name, _reversed(param.left))
         left, right = _reversed(right), _reversed(left)
     return ScenarioPath(row=row, N=n, label=ROW_LABELS[row],
-                        interface=lambda: interface(n, literal_zero_ep),
+                        interface=lambda: interface(n),
                         left_family=left, right_family=right,
                         parametrization=param)
 

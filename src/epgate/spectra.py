@@ -228,12 +228,15 @@ def _sorted_roots(z: np.ndarray) -> list[complex]:
 
 def ladder_d(n: int, model: ModelId, param) -> Fraction:
     """The square d of the ladder step: 1 - z^2 for BH, damping(lambda) for
-    AO.  d = 0 exactly at the exceptional point."""
-    param = models._as_fraction(param)
-    if model is ModelId.BH:
-        p, q = param.numerator, param.denominator
-        return Fraction(q * q - p * p, q * q)
-    return models.damping(n, param)
+    AO; d = 0 exactly at the EP.  n and the parameter are checked as
+    ``models.jacobi_data`` checks them: for AO a lambda < 0 or past the
+    domain edge raises."""
+    models._check_dimension(n)
+    if model is ModelId.AO:
+        return models._checked_damping(n, param)
+    z = models._as_fraction(param)
+    p, q = z.numerator, z.denominator
+    return Fraction(q * q - p * p, q * q)
 
 
 @lru_cache(maxsize=None)
@@ -289,7 +292,7 @@ def ladder_roots(n: int, d: Fraction) -> tuple[complex, ...]:
 def _proof_points(n: int, model: ModelId) -> list[Fraction]:
     """Where ``_prove_ladder`` compares the two polynomials: z = 0..n for
     BH; lambda = 0 and 1/j, j = 2..n//2 + 1, for AO, whose damping values
-    are distinct and below 1."""
+    are distinct and below 1, so each lies in the domain at every n."""
     if model is ModelId.BH:
         return [Fraction(z) for z in range(n + 1)]
     return [Fraction(0)] + [Fraction(1, j) for j in range(2, n // 2 + 2)]
@@ -324,14 +327,10 @@ def certified_spectrum(n: int, model: ModelId, param
                        ) -> tuple[ExactPolynomial, tuple[complex, ...]]:
     """The characteristic polynomial of a model Hamiltonian and its
     closed-form roots: ``ladder_poly`` and ``ladder_roots`` of ``ladder_d``
-    at ``param``.  The polynomial is the recurrence's by ``_prove_ladder``,
-    run once per (n, model); a failed proof raises ``StructureError``.  The
-    dimension and the parameter are checked as ``models.jacobi_data`` checks
-    them."""
-    models._check_dimension(n)
-    param = models._as_fraction(param)
-    d = (models._checked_damping(n, param) if model is ModelId.AO
-         else ladder_d(n, model, param))
+    at ``param``, which checks the dimension and the parameter.  The
+    polynomial is the recurrence's by ``_prove_ladder``, run once per
+    (n, model); a failed proof raises ``StructureError``."""
+    d = ladder_d(n, model, param)
     _prove_ladder(n, model)
     return ladder_poly(n, d), ladder_roots(n, d)
 

@@ -101,7 +101,8 @@ def check_ep_schrodinger(n: int, model: ModelId) -> VerificationReport:
 
 
 def check_jordanization(n: int, model: ModelId) -> VerificationReport:
-    """Q^-1 @ H_EP @ Q == J(0) and Q @ Q^-1 == Q^-1 @ Q == I, exactly."""
+    """Q^-1 @ H_EP @ Q == J(0) and Q @ Q^-1 == I, exactly; Q is square, so
+    a right inverse is two-sided and Q^-1 @ Q == I follows."""
     started = time.perf_counter()
     check = (CheckId.JORDANIZATION_BH if model is ModelId.BH
              else CheckId.JORDANIZATION_AO)
@@ -109,24 +110,22 @@ def check_jordanization(n: int, model: ModelId) -> VerificationReport:
     q = models.transition(n, model)
     q_inv = models.transition_inverse(n, model)
     j = models.jordan_block(n, 0)
-    ident = ExactMatrix.identity(n)
     return _report(check, n, _ep_params(model), started, (q_inv @ h @ q, j),
-                   (q @ q_inv, ident), (q_inv @ q, ident))
+                   (q @ q_inv, ExactMatrix.identity(n)))
 
 
 def check_intertwiner_factorization(n: int) -> VerificationReport:
     """The closed-form product diag @ core @ diag equals the transition-matrix
-    route Q_AO @ Q_BH^-1, and S @ S^-1 == S^-1 @ S == I."""
+    route Q_AO @ Q_BH^-1, and S @ S^-1 == I (so S^-1 @ S == I: S is square)."""
     started = time.perf_counter()
     via_transitions = (models.transition(n, ModelId.AO)
                        @ models.transition_inverse(n, ModelId.BH))
     pre, post = models.intertwiner_factors(n)
     closed_form = pre @ models.intertwiner_core(n) @ post
-    s, s_inv = models.intertwiner(n), models.intertwiner_inverse(n)
-    ident = ExactMatrix.identity(n)
     return _report(CheckId.INTERTWINER_FACTORIZATION, n, (), started,
                    (via_transitions, closed_form),
-                   (s @ s_inv, ident), (s_inv @ s, ident))
+                   (models.intertwiner(n) @ models.intertwiner_inverse(n),
+                    ExactMatrix.identity(n)))
 
 
 def check_intertwine(n: int) -> VerificationReport:
@@ -144,16 +143,17 @@ def check_scenario_matching(n: int, row: int,
     exceptional-point matrix.  Limits are exact substitutions at t = 0 (every
     family is continuous in its parameter there by construction).
 
-    ``literal_zero_ep`` switches rows 1 and 6 to the z = 0 reading of the
-    interface matrix; that reading fails by design and is excluded from the
-    acceptance suite.
+    ``literal_zero_ep`` compares rows 1 and 6 with H_BH(0), the literal z = 0
+    reading of their interface tables; that reading fails by design and is
+    excluded from the acceptance suite.
     """
     started = time.perf_counter()
-    path = scenarios.scenario_path(row, n, literal_zero_ep=literal_zero_ep)
+    path = scenarios.scenario_path(row, n)
     zero = Fraction(0)
     left = path.left_family(zero)
     right = path.right_family(zero)
-    ep = path.ep_matrix
+    ep = (models.bh_hamiltonian(n, 0) if literal_zero_ep and row in (1, 6)
+          else path.ep_matrix)
     params: Params = (("row", Fraction(row)),)
     return _report(CheckId.SCENARIO_MATCHING, n, params, started,
                    (left, ep), (right, ep))

@@ -249,14 +249,18 @@ def test_bh_transition_inverse_2x2():
 
 
 def test_transition_inverses_multiply_back():
-    for n in range(2, 9):
+    # the checks compute Q @ Q^-1 and S @ S^-1 only; both sides are kept here
+    # over the dimensions of ``verify --N 2..12``
+    for n in range(2, 13):
         ident = ExactMatrix.identity(n)
         for model in ModelId:
             q, q_inv = (models.transition(n, model),
                         models.transition_inverse(n, model))
             assert q @ q_inv == ident
             assert q_inv @ q == ident
-        assert models.intertwiner(n) @ models.intertwiner_inverse(n) == ident
+        s, s_inv = models.intertwiner(n), models.intertwiner_inverse(n)
+        assert s @ s_inv == ident
+        assert s_inv @ s == ident
 
 
 def test_intertwiner_inverse_2x2_is_involution():

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from epgate import radicals
 from epgate.radicals import (
     DivisionByZero,
     GaussianRational,
     InvalidRadicand,
     MultiTermInverse,
     RadicalSum,
-    I,
     ONE,
     ZERO,
     invert_monomial,
@@ -97,6 +97,18 @@ def test_squarefree_rejects_nonpositive():
         squarefree_decompose(-4)
 
 
+def test_squarefree_cache_is_bounded():
+    # every distinct AO parameter brings a new radicand: more distinct
+    # radicands than the bound leave the cache at the bound
+    size = radicals._SQUAREFREE_CACHE_SIZE
+    for m in range(1, size + 100):
+        squarefree_decompose(3 * m)
+    info = squarefree_decompose.cache_info()
+    assert info.maxsize == size
+    assert info.currsize == size
+    assert squarefree_decompose(360) == (10, 6)
+
+
 # ---------------------------------------------------------------------------
 # addition
 # ---------------------------------------------------------------------------
@@ -143,7 +155,7 @@ def test_mul_extracts_square_factor():
 # ---------------------------------------------------------------------------
 
 def test_invert_monomial_imaginary_radical():
-    a = I * SQRT2
+    a = RadicalSum.gaussian(0, 1) * SQRT2
     inv = invert_monomial(a)
     assert inv == RadicalSum({2: GaussianRational(0, Fraction(-1, 2))})
     assert a * inv == ONE

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from epgate import models, spectra
 from epgate.matrices import ExactMatrix, ExactPolynomial, StructureError
-from epgate.models import ModelId
+from epgate.models import DomainError, ModelId, NonPositiveRadicand
 from epgate.scenarios import sample_path
 from epgate.spectra import (
     ConvergenceError,
@@ -161,6 +161,33 @@ def test_band_reader_matches_leibniz_on_random_radical_bands():
 # ---------------------------------------------------------------------------
 # sl(2) ladder: closed-form polynomial and roots
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("model, n, param", [
+    (ModelId.AO, 2, Fraction(-1, 4)),   # lambda < 0
+    (ModelId.AO, 7, Fraction(-1, 64)),
+    (ModelId.AO, 2, Fraction(1)),       # damping reaches 1
+    (ModelId.AO, 6, Fraction(3, 4)),    # damping past 1 at K = 3
+    (ModelId.AO, 9, Fraction(3, 5)),    # lambda + lambda^2 + lambda^3 > 1
+    (ModelId.AO, 1, Fraction(1, 8)),    # dimension below 2
+    (ModelId.BH, 1, Fraction(1, 2)),
+], ids=lambda v: getattr(v, "value", str(v)))
+def test_ladder_d_refuses_what_jacobi_data_refuses(model, n, param):
+    with pytest.raises(ValueError) as want:
+        models.jacobi_data(n, model, param)
+    with pytest.raises(ValueError) as got:
+        ladder_d(n, model, param)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+
+
+def test_ladder_d_edge_messages():
+    with pytest.raises(DomainError, match=r"^lambda must be >= 0, got -1/4$"):
+        ladder_d(4, ModelId.AO, Fraction(-1, 4))
+    with pytest.raises(NonPositiveRadicand,
+                       match=r"^coupling radicand 0 at row pair \(0,1\); "
+                             r"lambda = 1 is outside the model domain$"):
+        ladder_d(3, ModelId.AO, 1)
+
 
 def test_ladder_examples():
     assert ladder_d(5, ModelId.BH, Fraction(1, 2)) == Fraction(3, 4)
