@@ -24,8 +24,9 @@ Hamiltonians' pencils read it at the EP parameter.  The module also holds:
 
 Every sample, Hamiltonian or transformed, is a pencil A + c(p)*B with
 c = z or sqrt(1 - damping(lambda)).  The pencil is read once per (n, model,
-frame) by ``_sample_operand``, and ``_sample`` writes a + c*b in integers
-where B is nonzero and shares A's entries everywhere else.
+frame) by ``_sample_operand``, which groups the positions where B is
+nonzero by their exact (A, B) entry pair; ``_sample`` writes a + c*b,
+computed in integers once per group, and shares A's entries elsewhere.
 
 All constructors are pure and exact; parameters are exact rationals.
 """
@@ -333,27 +334,32 @@ def _pencil(n: int, model: ModelId,
 
 @lru_cache(maxsize=None)
 def _sample_operand(n: int, model: ModelId, frame: str):
-    """``_pencil`` read once for sampling: A's rows, and at every position
-    (i, j) where B is nonzero, A's canonical terms {radicand: coefficient},
-    the same terms as integer triples, and B's integer terms."""
+    """``_pencil`` read once for sampling: A's rows, and the positions where
+    B is nonzero grouped by their (A, B) entry pair, keyed on canonical
+    integer terms.  Each group holds its positions, A's terms {radicand:
+    coefficient}, the same terms as integer triples, and B's integer terms."""
     a, b = _pencil(n, model, frame)
-    band = []
+    groups = {}
     for i, row in enumerate(b.rows()):
         for j, e in enumerate(row):
             if e:
-                terms = a[i, j].integer_terms()
-                band.append((i, j, dict(a[i, j].items()),
-                             {m: (re, im, den) for m, re, im, den in terms},
-                             e.integer_terms()))
-    return a.rows(), tuple(band)
+                key = (tuple(sorted(a[i, j].integer_terms())),
+                       tuple(sorted(e.integer_terms())))
+                groups.setdefault(key, []).append((i, j))
+    return a.rows(), tuple(
+        (tuple(where), dict(a[where[0]].items()),
+         {m: (re, im, den) for m, re, im, den in a_ints},
+         b[where[0]].integer_terms())
+        for (a_ints, _), where in groups.items())
 
 
 def _sample(n: int, model: ModelId, frame: str, param) -> ExactMatrix:
     """A + c(param) * B for the pencil of ``_pencil``, with the real scalar
-    c = cr/cd * sqrt(mc) = z or sqrt(1 - damping(lambda)).  Where B is
-    nonzero each term of c * B (a radicand product unless mc = 1) is added
-    in integers to A's term of the same radicand and made canonical with one
-    gcd, a zero sum dropped; every other entry is A's own."""
+    c = cr/cd * sqrt(mc) = z or sqrt(1 - damping(lambda)).  Once per group
+    of equal (A, B) pairs, each term of c * B (a radicand product unless
+    mc = 1) is added in integers to A's term of the same radicand and made
+    canonical with one gcd, a zero sum dropped; that one immutable entry is
+    written at every position of the group.  Elsewhere the entry is A's."""
     _check_dimension(n)
     if model is ModelId.BH:
         z = _as_fraction(param)
@@ -366,7 +372,7 @@ def _sample(n: int, model: ModelId, frame: str, param) -> ExactMatrix:
     if not cr:
         return ExactMatrix._raw(a_rows)
     rows = [list(r) for r in a_rows]
-    for i, j, a_terms, a_ints, b in band:
+    for where, a_terms, a_ints, b in band:
         out = dict(a_terms)
         for m, br, bi, bd in b:
             re, im, den = cr * br, cr * bi, cd * bd
@@ -384,8 +390,10 @@ def _sample(n: int, model: ModelId, frame: str, param) -> ExactMatrix:
             g = gcd(re, im, den)
             out[m] = c = object.__new__(GaussianRational)
             c._re, c._im, c._den = re // g, im // g, den // g
-        rows[i][j] = e = object.__new__(RadicalSum)
+        e = object.__new__(RadicalSum)
         e._terms = out
+        for i, j in where:
+            rows[i][j] = e
     return ExactMatrix._raw(tuple(map(tuple, rows)))
 
 

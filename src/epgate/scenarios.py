@@ -47,19 +47,26 @@ class Parametrization:
 class ScenarioPath:
     """One scenario row at a fixed dimension: two one-parameter families
     glued at an exceptional-point interface matrix.  ``interface`` builds
-    that matrix; it is built only when ``ep_matrix`` is read."""
+    that matrix; it is built only when ``ep_matrix`` is read.  A side is
+    its family's constructor at the parameter that t maps to."""
 
     row: int
     N: int
     label: str
     interface: Callable[[], ExactMatrix]
-    left_family: Callable[[Fraction], ExactMatrix]
-    right_family: Callable[[Fraction], ExactMatrix]
+    left_side: Callable[[Fraction], ExactMatrix]
+    right_side: Callable[[Fraction], ExactMatrix]
     parametrization: Parametrization
 
     @property
     def ep_matrix(self) -> ExactMatrix:
         return self.interface()
+
+    def left_family(self, t: Fraction) -> ExactMatrix:
+        return self.left_side(self.parametrization.left(t))
+
+    def right_family(self, t: Fraction) -> ExactMatrix:
+        return self.right_side(self.parametrization.right(t))
 
 
 @dataclass(frozen=True)
@@ -114,26 +121,23 @@ def scenario_path(row: int, n: int) -> ScenarioPath:
     models._check_dimension(n)
     interface, bh_side, ao_side = _ROWS[min(row, 7 - row)]
     param = Parametrization("z", _z_forward, "lambda", _lam_forward)
-    left = lambda t: bh_side(n, _z_forward(t))
-    right = lambda t: ao_side(n, _lam_forward(t))
+    left = lambda z: bh_side(n, z)
+    right = lambda lam: ao_side(n, lam)
     if row > 3:
         # row 7 - row run backwards: the sides swap and t becomes -t
         param = Parametrization(param.right_name, _reversed(param.right),
                                 param.left_name, _reversed(param.left))
-        left, right = _reversed(right), _reversed(left)
+        left, right = right, left
     return ScenarioPath(row=row, N=n, label=ROW_LABELS[row],
                         interface=lambda: interface(n),
-                        left_family=left, right_family=right,
+                        left_side=left, right_side=right,
                         parametrization=param)
 
 
 def hamiltonian_at(row: int, n: int, t) -> ExactMatrix:
     """The scenario Hamiltonian at time t: the left family for t < 0, the
     interface matrix at t = 0, the right family for t > 0."""
-    return _matrix_at(scenario_path(row, n), models._as_fraction(t))
-
-
-def _matrix_at(path: ScenarioPath, t: Fraction) -> ExactMatrix:
+    path, t = scenario_path(row, n), models._as_fraction(t)
     if t.numerator < 0:
         return path.left_family(t)
     if t.numerator > 0:
@@ -145,21 +149,23 @@ def sample_path(row: int, n: int, t_values) -> list[PathSample]:
     """Sample a scenario at the given times: exact matrix, exact
     characteristic polynomial, and its closed-form roots per sample.
 
-    The polynomial is the sl(2) ladder of the family the sample is similar
-    to, at its parameter (the left side's for t <= 0, the right side's for
-    t > 0), with its closed-form roots: ``spectra.certified_spectrum``,
-    which proves the ladder to be the family's polynomial once per
-    (n, model)."""
+    Each t is mapped once to its side's parameter (the left side's for
+    t <= 0, the right side's for t > 0), read by the side's constructor (the
+    interface matrix at t = 0) and by ``spectra.certified_spectrum``: the
+    sl(2) ladder of the family the sample is similar to, with its roots,
+    proved to be the family's polynomial once per (n, model)."""
     path = scenario_path(row, n)
     param = path.parametrization
     samples = []
     for t in t_values:
         t = models._as_fraction(t)
-        matrix = _matrix_at(path, t)
-        name, side = ((param.left_name, param.left) if t.numerator <= 0
-                      else (param.right_name, param.right))
+        name, to_param, side = (
+            (param.left_name, param.left, path.left_side) if t.numerator <= 0
+            else (param.right_name, param.right, path.right_side))
+        p = to_param(t)
+        matrix = side(p) if t.numerator else path.ep_matrix
         model = ModelId.BH if name == "z" else ModelId.AO
-        poly, roots = spectra.certified_spectrum(n, model, side(t))
+        poly, roots = spectra.certified_spectrum(n, model, p)
         samples.append(PathSample(t=t, matrix=matrix, char_poly=poly,
                                   roots=roots))
     return samples

@@ -51,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm, ldexp, sqrt
+from math import gcd, isqrt, lcm, ldexp, sqrt
 from sys import float_info
 
 import numpy as np
@@ -252,14 +252,20 @@ def _ladder_sums(n: int) -> tuple[int, ...]:
 
 def ladder_poly(n: int, d: Fraction) -> ExactPolynomial:
     """prod_k (E^2 - (n-1-2k)^2 d) over k < n // 2, times E for odd n:
-    coefficient n - 2j is e_j * (-d)^j."""
+    coefficient n - 2j is e_j * (-d)^j, canonical with one gcd(e_j, den^j)
+    since num^j/den^j, with -d = num/den, is in lowest terms already."""
     out = [_ZERO] * (n + 1)
     num, den = -d.numerator, d.denominator
     num_j, den_j = 1, 1
     for j, e in enumerate(_ladder_sums(n)):
-        if num_j:
-            out[n - 2 * j] = RadicalSum._raw(
-                {1: GaussianRational._make(e * num_j, 0, den_j)})
+        if not num_j:
+            break
+        # GaussianRational._make and RadicalSum._raw, written inline
+        g = gcd(e, den_j)
+        c = object.__new__(GaussianRational)
+        c._re, c._im, c._den = e // g * num_j, 0, den_j // g
+        out[n - 2 * j] = r = object.__new__(RadicalSum)
+        r._terms = {1: c}
         num_j, den_j = num_j * num, den_j * den
     return ExactPolynomial._raw(tuple(out))
 
@@ -285,8 +291,8 @@ def ladder_roots(n: int, d: Fraction) -> tuple[complex, ...]:
         unit = ldexp(isqrt((num << 2 * s) // den), -s)
     steps = [m * unit + 0.0 for m in range(1 - n, n, 2)]  # -0.0 + 0.0 = 0.0
     if d.numerator >= 0:
-        return tuple(complex(x, 0.0) for x in steps)
-    return tuple(complex(0.0, y) for y in steps)
+        return tuple([complex(x, 0.0) for x in steps])
+    return tuple([complex(0.0, y) for y in steps])
 
 
 def _proof_points(n: int, model: ModelId) -> list[Fraction]:

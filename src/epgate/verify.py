@@ -207,29 +207,26 @@ def check_ep_degeneracy(n: int, model: ModelId) -> VerificationReport:
 _DEFAULT_SIMILARITY_PARAMS = {ModelId.BH: Fraction(1, 2),
                               ModelId.AO: Fraction(1, 8)}
 
-# CheckId -> its reports at one N, given ``literal_zero_ep``.  Each entry
-# calls its check_* through this module's globals when run, so a wrapped or
-# patched check is the one that runs.
+# CheckId -> its reports at one N.  Each entry calls its check_* through this
+# module's globals when run, so a wrapped or patched check is the one that
+# runs.  Only scenario-matching reads ``literal_zero_ep``, which ``run_suite``
+# passes to it alone.
 _SUITE = {
-    CheckId.EP_SCHRODINGER_BH:
-        lambda n, lz: [check_ep_schrodinger(n, ModelId.BH)],
-    CheckId.EP_SCHRODINGER_AO:
-        lambda n, lz: [check_ep_schrodinger(n, ModelId.AO)],
-    CheckId.JORDANIZATION_BH:
-        lambda n, lz: [check_jordanization(n, ModelId.BH)],
-    CheckId.JORDANIZATION_AO:
-        lambda n, lz: [check_jordanization(n, ModelId.AO)],
+    CheckId.EP_SCHRODINGER_BH: lambda n: [check_ep_schrodinger(n, ModelId.BH)],
+    CheckId.EP_SCHRODINGER_AO: lambda n: [check_ep_schrodinger(n, ModelId.AO)],
+    CheckId.JORDANIZATION_BH: lambda n: [check_jordanization(n, ModelId.BH)],
+    CheckId.JORDANIZATION_AO: lambda n: [check_jordanization(n, ModelId.AO)],
     CheckId.INTERTWINER_FACTORIZATION:
-        lambda n, lz: [check_intertwiner_factorization(n)],
-    CheckId.INTERTWINE: lambda n, lz: [check_intertwine(n)],
-    CheckId.SCENARIO_MATCHING: lambda n, lz: [
-        check_scenario_matching(n, row, literal_zero_ep=lz)
+        lambda n: [check_intertwiner_factorization(n)],
+    CheckId.INTERTWINE: lambda n: [check_intertwine(n)],
+    CheckId.SCENARIO_MATCHING: lambda n, literal_zero_ep: [
+        check_scenario_matching(n, row, literal_zero_ep=literal_zero_ep)
         for row in range(1, 7)],
-    CheckId.CHARPOLY_SIMILARITY: lambda n, lz: [
+    CheckId.CHARPOLY_SIMILARITY: lambda n: [
         check_charpoly_similarity(n, model, _DEFAULT_SIMILARITY_PARAMS[model],
                                   frame)
         for model in ModelId for frame in ("transition", "intertwiner")],
-    CheckId.EP_TOTAL_DEGENERACY: lambda n, lz: [
+    CheckId.EP_TOTAL_DEGENERACY: lambda n: [
         check_ep_degeneracy(n, model) for model in ModelId],
 }
 
@@ -248,7 +245,9 @@ def run_suite(n_values, checks=None,
     reports: list[VerificationReport] = []
     for check in wanted:
         for n in n_list:
-            reports.extend(_SUITE[check](n, literal_zero_ep))
+            reports.extend(
+                _SUITE[check](n, literal_zero_ep)
+                if check is CheckId.SCENARIO_MATCHING else _SUITE[check](n))
     order = {c: i for i, c in enumerate(CheckId)}
     reports.sort(key=lambda r: (order[r.check], r.N, r.parameters))
     return reports

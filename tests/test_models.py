@@ -25,6 +25,7 @@ from helpers import (
     T,
     assert_canonical,
     transpose,
+    with_entry,
 )
 
 
@@ -348,6 +349,95 @@ def test_ao_samples_with_a_rational_scalar(n, lam):
         for row in sample.rows():
             for e in row:
                 assert_canonical(e)
+
+
+# each model's parameters for the sharing tests, c = 0 first
+_SHARING_PARAMS = {
+    ModelId.BH: [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2),
+                 Fraction(15, 16)],
+    ModelId.AO: [Fraction(0), Fraction(1, 64), Fraction(1, 8),
+                 Fraction(31, 64)],
+}
+_FRAMES = ("identity", "transition", "intertwiner")
+
+
+def _scalar(n, model, p):
+    """The pencil scalar c at p, as a RadicalSum."""
+    if model is ModelId.BH:
+        return RadicalSum.of(p)
+    return RadicalSum.sqrt_rational(1 - models.damping(n, p))
+
+
+def _band_groups(n, model, frame):
+    """Positions where B is nonzero, grouped by their (A, B) value pair."""
+    a, b = models._pencil(n, model, frame)
+    groups = {}
+    for i in range(n):
+        for j in range(n):
+            if b[i, j]:
+                groups.setdefault((a[i, j], b[i, j]), []).append((i, j))
+    return list(groups.values())
+
+
+@pytest.mark.parametrize("frame", _FRAMES)
+@pytest.mark.parametrize("model", list(ModelId), ids=lambda m: m.value)
+def test_sample_is_the_pencil_in_radical_arithmetic(model, frame):
+    # computing each (A, B) pair once changes no entry of A + c * B
+    for n in range(2, 13):
+        a, b = models._pencil(n, model, frame)
+        for p in _SHARING_PARAMS[model]:
+            c = _scalar(n, model, p)
+            assert models._sample(n, model, frame, p) == ExactMatrix(
+                [[a[i, j] + c * b[i, j] for j in range(n)]
+                 for i in range(n)]), (n, p)
+
+
+@pytest.mark.parametrize("frame", _FRAMES)
+@pytest.mark.parametrize("model", list(ModelId), ids=lambda m: m.value)
+def test_equal_pencil_pairs_share_one_entry(model, frame):
+    for n in range(2, 13):
+        groups = _band_groups(n, model, frame)
+        for p in _SHARING_PARAMS[model][1:]:  # c != 0
+            s = models._sample(n, model, frame, p)
+            shared = [{id(s[i, j]) for i, j in where} for where in groups]
+            assert all(len(ids) == 1 for ids in shared), (n, p)
+            assert len(set().union(*shared)) == len(groups), (n, p)
+    # the mirror k <-> n - k of the couplings is what makes groups
+    if (model, frame) != (ModelId.BH, "identity"):
+        assert len(_band_groups(12, model, frame)) < sum(
+            map(len, _band_groups(12, model, frame)))
+
+
+def test_one_perturbed_mirror_entry_is_its_own_group(monkeypatch):
+    # A shifted at (1, 0) but not at its mirror (n-1, n-2): grouping by
+    # value puts it in a group of its own, so the sample moves there only
+    n, where = 6, (1, 0)
+    frames = [(model, frame) for model in ModelId
+              for frame in ("transition", "intertwiner")]
+    params = {ModelId.BH: Fraction(1, 2), ModelId.AO: Fraction(1, 8)}
+    clean = {mf: models._sample(n, *mf, params[mf[0]]) for mf in frames}
+    original = models.family_pencil
+
+    def perturbed(n, model, frame):
+        a, b = original(n, model, frame)
+        return with_entry(a, *where, a[where] + 1), b
+
+    monkeypatch.setattr(models, "family_pencil", perturbed)
+    models._sample_operand.cache_clear()
+    for (model, frame), before in clean.items():
+        a, b = original(n, model, frame)
+        if b[where]:
+            # in the band, and equal to its mirror before the shift
+            assert (a[where], b[where]) == (a[n - 1, n - 2], b[n - 1, n - 2])
+        after = models._sample(n, model, frame, params[model])
+        moved = [(i, j) for i in range(n) for j in range(n)
+                 if after[i, j] != before[i, j]]
+        assert moved == [where], (model, frame)
+    for row in range(1, 7):
+        assert not verify.check_scenario_matching(n, row).passed, row
+    for model, frame in frames:
+        assert not verify.check_charpoly_similarity(
+            n, model, params[model], frame).passed, (model, frame)
 
 
 def _raised(fn, *args) -> tuple[type, str]:

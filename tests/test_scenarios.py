@@ -281,6 +281,41 @@ def test_sample_path_proves_each_ladder_once(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("row", range(1, 7))
+def test_sample_path_maps_each_time_to_its_parameter_once(monkeypatch, row):
+    # one time-map call per sample, and the one parameter it gives is what
+    # the side constructor and the certified spectrum both read
+    from epgate import scenarios
+    ts = [Fraction(-1, 4), Fraction(-1, 64), Fraction(1, 64), Fraction(1, 8)]
+    sample_path(row, 4, ts + [Fraction(0)])  # warm: no pencil builds below
+    mapped, built, certified = [], [], []
+
+    def counted(original, out, time_map=False):
+        # records a time map's result, or the parameter a reader is given
+        def wrapper(*args):
+            result = original(*args)
+            out.append(result if time_map else args[-1])
+            return result
+        return wrapper
+
+    for name in ("_z_forward", "_lam_forward"):
+        monkeypatch.setattr(scenarios, name, counted(
+            getattr(scenarios, name), mapped, time_map=True))
+    for name in _SIDES[min(row, 7 - row)]:
+        monkeypatch.setattr(models, name,
+                            counted(getattr(models, name), built))
+    monkeypatch.setattr(spectra, "certified_spectrum",
+                        counted(spectra.certified_spectrum, certified))
+    sample_path(row, 4, ts)
+    assert len(mapped) == len(built) == len(certified) == len(ts)
+    for p, b, c in zip(mapped, built, certified):
+        assert b is p and c is p
+    # t = 0 maps once too, and reads the interface instead of a side
+    mapped.clear()
+    sample_path(row, 4, [Fraction(0)])
+    assert len(mapped) == 1
+
+
 _FRACTION_ORDER = ("__lt__", "__le__", "__gt__", "__ge__")
 
 

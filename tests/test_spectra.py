@@ -201,12 +201,18 @@ def test_ladder_examples():
 
 
 def test_integer_ladder_poly_matches_factor_by_factor_product():
+    # d = 0, negative d, and denominators that share factors with the
+    # ladder sums e_j, which the one gcd(e_j, den^j) per coefficient cancels
     ds = [Fraction(0), Fraction(1), Fraction(-3, 7), Fraction(9, 4),
-          Fraction(5, 2 ** 40), Fraction(-(10 ** 30) + 1, 10 ** 12)]
+          Fraction(5, 2 ** 40), Fraction(-(10 ** 30) + 1, 10 ** 12),
+          Fraction(1, 2), Fraction(-5, 6), Fraction(7, 30),
+          Fraction(-1, 10 ** 6)]
     for n in range(1, 41):
         for d in ds:
-            assert ladder_poly(n, d) == factor_by_factor_ladder_poly(n, d), \
-                (n, d)
+            poly = ladder_poly(n, d)
+            assert poly == factor_by_factor_ladder_poly(n, d), (n, d)
+            for c in poly.coefficients:
+                assert_canonical(c)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
