@@ -6,8 +6,11 @@ bytes.  Scenario roots are floats (the rounded closed-form ladder), so they
 are compared to 1e-12 while every exact field is compared byte for byte.
 """
 
+import hashlib
+import io
 import json
 import re
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -80,3 +83,63 @@ def test_scenario_json_matches_golden(capsys):
             assert len(got_roots) == len(want_roots)
             for (gr, gi), (wr, wi) in zip(got_roots, want_roots):
                 assert abs(complex(gr, gi) - complex(wr, wi)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Digest manifest: sha256 of (exit code, stdout, stderr), timings masked, for
+# every command in DIGEST_CASES.  Regenerate it, only when an output change is
+# intended, with:  PYTHONPATH=src python tests/test_golden_cli.py
+# ---------------------------------------------------------------------------
+
+DIGESTS = GOLDEN / "cli_digests.json"
+
+_GEN_MODELS = ("bh", "ao", "q-bh", "q-ao", "s-rc", "r", "pascal", "jordan")
+
+DIGEST_CASES = [
+    ["verify", "--N", "2..12", "--format", "json"],
+    ["verify", "--N", "2..5"],
+    *(["verify", "--N", "2..7", "--checks", "scenario-matching",
+       "--literal-zero-ep", "--format", fmt] for fmt in ("text", "json")),
+    *(["scenario", "--row", str(row), "--N", str(n),
+       "--t", "-1/8,-1/64,0,1/64,1/8", "--format", fmt]
+      for row in range(1, 7) for n in (3, 6, 9) for fmt in ("text", "json")),
+    *(["gen", "--model", model, "--N", str(n), "--format", fmt]
+      for model in _GEN_MODELS for n in (2, 5) for fmt in ("text", "json")),
+    *(["spectrum", "--model", model, "--N", str(n), "--grid", grid,
+       "--format", fmt]
+      for model, n, grid in (("bh", 5, "-1:1:1/4"), ("ao", 6, "0:1/2:1/8"))
+      for fmt in ("text", "json")),
+    *(["condition", "--N", "2..8", "--format", fmt] for fmt in ("text", "json")),
+    # error paths: exit code 2 and one message on stderr
+    ["gen", "--model", "bh", "--N", "1"],
+    ["gen", "--model", "ao", "--N", "4", "--lambda", "-1/2"],
+    ["gen", "--model", "ao", "--N", "6", "--lambda", "1"],
+    ["gen", "--model", "ao", "--N", "3", "--lambda", "1/3."],
+    ["spectrum", "--model", "ao", "--N", "6", "--grid", "1/2:1:1/4"],
+    ["scenario", "--row", "2", "--N", "6", "--t", "1"],
+    ["verify", "--N", "1..3"],
+]
+
+
+def cli_digest(argv) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    payload = json.dumps([code, mask_timings(out.getvalue()),
+                          mask_timings(err.getvalue())])
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def test_cli_output_matches_digest_manifest():
+    manifest = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    keys = [" ".join(argv) for argv in DIGEST_CASES]
+    assert sorted(manifest) == sorted(keys)
+    changed = [key for key, argv in zip(keys, DIGEST_CASES)
+               if cli_digest(argv) != manifest[key]]
+    assert changed == []
+
+
+if __name__ == "__main__":
+    DIGESTS.write_text(json.dumps(
+        {" ".join(argv): cli_digest(argv) for argv in DIGEST_CASES},
+        indent=1) + "\n", encoding="utf-8")
