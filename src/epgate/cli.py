@@ -204,7 +204,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_VALUE_FLAGS = ("--t", "--z", "--lambda", "--grid")
+_VALUE_FLAGS = ("--N", "--t", "--z", "--lambda", "--grid")
 
 
 def _join_negative_values(argv: list[str]) -> list[str]:

@@ -5,9 +5,10 @@ Bose-Hubbard chain H_BH(z) with exceptional points at z = +-1 and the real
 asymmetric anharmonic-oscillator chain H_AO(lambda) with its exceptional
 point at lambda = 0 -- together with the Jordan block, the binomial
 (Pascal-triangle) matrix, and the closed-form transition machinery.
-``jacobi_data`` reads the diagonal and coupling products from the
-parameter; the exact spectra read it at every parameter, and both
-Hamiltonians' pencils read it at the EP parameter.  The module also holds:
+``checked_parameter`` checks a model's dimension and parameter, from which
+``jacobi_data`` reads the diagonal and coupling products: the exact spectra
+at every parameter, both Hamiltonians' pencils at the EP parameter.  The
+module also holds:
 
 * ``transition(n, model)``: the matrix Q that carries a family's EP
   Hamiltonian to the nilpotent Jordan block, built as a diagonal * pascal *
@@ -19,11 +20,11 @@ Hamiltonians' pencils read it at the EP parameter.  The module also holds:
 * exact inverses of all three, obtained through the factorizations (the
   binomial matrix has the closed-form inverse ``pascal_inverse``), and
 * the similarity-transformed Hamiltonian families used by the crossing
-  scenarios (Jordan-basis and swapped-frame versions of both models), A and
-  B transformed once per (n, model, frame) by ``family_pencil``.
+  scenarios (Jordan-basis and swapped-frame versions of both models).
 
 Every sample, Hamiltonian or transformed, is a pencil A + c(p)*B with
-c = z or sqrt(1 - damping(lambda)).  The pencil is read once per (n, model,
+c = z or sqrt(1 - damping(lambda)), built by ``family_pencil`` in its frame
+("identity" for the Hamiltonians).  The pencil is read once per (n, model,
 frame) by ``_sample_operand``, which groups the positions where B is
 nonzero by their exact (A, B) entry pair; ``_sample`` writes a + c*b,
 computed in integers once per group, and shares A's entries elsewhere.
@@ -96,20 +97,24 @@ def damping(n: int, lam) -> Fraction:
 # Hamiltonian families
 # ---------------------------------------------------------------------------
 
-def _checked_damping(n: int, lam) -> Fraction:
-    """damping(lambda) = p/q, checked so that 1 - damping = (q - p)/q, the
-    factor under every coupling's square root, stays positive.  The coupling
-    radicand k*(n-k)*(1 - damping) has its smallest factor k*(n-k) at k = 1,
-    so the first row pair to leave the domain is (0,1)."""
-    lam = _as_fraction(lam)
-    if lam.numerator < 0:
-        raise DomainError(f"lambda must be >= 0, got {lam}")
-    d = damping(n, lam)
+def checked_parameter(n: int, model: ModelId, param) -> Fraction:
+    """z for BH, damping(lambda) = p/q for AO, after checking n >= 2, an
+    exact rational parameter, and for AO lambda >= 0 with 1 - damping =
+    (q - p)/q, the factor under every coupling's square root, positive.  The
+    coupling radicand k*(n-k)*(1 - damping) has its smallest factor k*(n-k)
+    at k = 1, so the first row pair to leave the domain is (0,1)."""
+    _check_dimension(n)
+    x = _as_fraction(param)
+    if model is ModelId.BH:
+        return x
+    if x.numerator < 0:
+        raise DomainError(f"lambda must be >= 0, got {x}")
+    d = damping(n, x)
     p, q = d.numerator, d.denominator
     if p >= q:
         raise NonPositiveRadicand(
             f"coupling radicand {Fraction((n - 1) * (q - p), q)} at row pair "
-            f"(0,1); lambda = {lam} is outside the model domain")
+            f"(0,1); lambda = {x} is outside the model domain")
     return d
 
 
@@ -120,17 +125,16 @@ def jacobi_data(n: int, model: ModelId,
     H[k][k-1] of paired couplings, k = 1..n-1.
 
     BH: d_k = i*(2k - n + 1)*z and b_k = k*(n-k).  AO: d_k = 2k - n + 1 and
-    b_k = -k*(n-k)*(1 - damping), with lambda checked by ``_checked_damping``.
-    Read once at the EP parameter, it gives both Hamiltonians' pencils
-    (``_pencil``), so a Hamiltonian sample is read from it through a cache;
-    the exact spectra read it at every parameter.
+    b_k = -k*(n-k)*(1 - damping), checked by ``checked_parameter``.  Read
+    once at the EP parameter, it gives both Hamiltonians' pencils
+    (``family_pencil``), so a Hamiltonian sample is read from it through a
+    cache; the exact spectra read it at every parameter.
     """
-    _check_dimension(n)
+    c = checked_parameter(n, model, param)
     if model is ModelId.BH:
-        z = _as_fraction(param)
-        return ([GaussianRational(0, (2 * k - n + 1) * z) for k in range(n)],
+        return ([GaussianRational(0, (2 * k - n + 1) * c) for k in range(n)],
                 [Fraction(k * (n - k)) for k in range(1, n)])
-    scale = 1 - _checked_damping(n, param)
+    scale = 1 - c
     return ([GaussianRational(2 * k - n + 1) for k in range(n)],
             [-k * (n - k) * scale for k in range(1, n)])
 
@@ -295,10 +299,21 @@ def family_pencil(n: int, model: ModelId,
     (H_EP - D) with D the diagonal, so c = sqrt(1 - damping) (damping is
     site-independent, see ``damping``).  A and B are the similarity
     transforms of the two parts; by linearity and canonical entries, A + c*B
-    is structurally q_inv @ H(p) @ q.  ``frame`` is "transition" (the
+    is structurally q_inv @ H(p) @ q.  ``frame`` is "identity" (q = I, the
+    Hamiltonian from ``jacobi_data`` at the EP parameter), "transition" (the
     family's own EP transition matrix) or "intertwiner" (S, towards the
     other model's frame).
     """
+    if frame == "identity":
+        d, b = jacobi_data(n, model, EP_PARAMETER[model][1])
+        g = [RadicalSum.sqrt_rational(abs(x)) for x in b]
+        sub = g if model is ModelId.BH else [-x for x in g]
+        couplings = ExactMatrix(
+            [[g[i] if j == i + 1 else sub[j] if i == j + 1 else 0
+              for j in range(n)] for i in range(n)])
+        diagonal = ExactMatrix.diagonal(d)
+        return ((couplings, diagonal) if model is ModelId.BH
+                else (diagonal, couplings))
     if frame == "transition":
         q, q_inv = transition(n, model), transition_inverse(n, model)
     else:
@@ -311,63 +326,38 @@ def family_pencil(n: int, model: ModelId,
     return similarity(base, q, q_inv), similarity(ep - base, q, q_inv)
 
 
-def _pencil(n: int, model: ModelId,
-            frame: str) -> tuple[ExactMatrix, ExactMatrix]:
-    """(A, B) with H(p) = A + c(p) * B in ``frame``: "identity" is the
-    Hamiltonian itself, read from ``jacobi_data`` at the EP parameter --
-    H_BH(z) = couplings + z * diagonal and H_AO(lambda) = diagonal +
-    sqrt(1 - damping) * couplings, the AO couplings negated below the
-    diagonal -- and every other frame is ``family_pencil``."""
-    if frame != "identity":
-        return family_pencil(n, model, frame)
-    d, b = jacobi_data(n, model, EP_PARAMETER[model][1])
-    g = [RadicalSum.sqrt_rational(abs(x)) for x in b]
-    sub = g if model is ModelId.BH else [-x for x in g]
-    couplings = ExactMatrix(
-        [[g[i] if j == i + 1 else sub[j] if i == j + 1 else 0
-          for j in range(n)] for i in range(n)])
-    diagonal = ExactMatrix.diagonal(d)
-    if model is ModelId.BH:
-        return couplings, diagonal
-    return diagonal, couplings
-
-
 @lru_cache(maxsize=None)
 def _sample_operand(n: int, model: ModelId, frame: str):
-    """``_pencil`` read once for sampling: A's rows, and the positions where
-    B is nonzero grouped by their (A, B) entry pair, keyed on canonical
-    integer terms.  Each group holds its positions, A's terms {radicand:
+    """``family_pencil`` read once for sampling: A's rows, and the positions
+    where B is nonzero grouped by their (A, B) entry pair (equal entries are
+    equal values).  Each group holds its positions, A's terms {radicand:
     coefficient}, the same terms as integer triples, and B's integer terms."""
-    a, b = _pencil(n, model, frame)
+    a, b = family_pencil(n, model, frame)
     groups = {}
     for i, row in enumerate(b.rows()):
         for j, e in enumerate(row):
             if e:
-                key = (tuple(sorted(a[i, j].integer_terms())),
-                       tuple(sorted(e.integer_terms())))
-                groups.setdefault(key, []).append((i, j))
+                groups.setdefault((a[i, j], e), []).append((i, j))
     return a.rows(), tuple(
-        (tuple(where), dict(a[where[0]].items()),
-         {m: (re, im, den) for m, re, im, den in a_ints},
-         b[where[0]].integer_terms())
-        for (a_ints, _), where in groups.items())
+        (tuple(where), dict(x.items()),
+         {m: (re, im, den) for m, re, im, den in x.integer_terms()},
+         y.integer_terms())
+        for (x, y), where in groups.items())
 
 
 def _sample(n: int, model: ModelId, frame: str, param) -> ExactMatrix:
-    """A + c(param) * B for the pencil of ``_pencil``, with the real scalar
+    """A + c(param) * B for ``family_pencil``, with the real scalar
     c = cr/cd * sqrt(mc) = z or sqrt(1 - damping(lambda)).  Once per group
     of equal (A, B) pairs, each term of c * B (a radicand product unless
     mc = 1) is added in integers to A's term of the same radicand and made
     canonical with one gcd, a zero sum dropped; that one immutable entry is
     written at every position of the group.  Elsewhere the entry is A's."""
-    _check_dimension(n)
+    p = checked_parameter(n, model, param)
     if model is ModelId.BH:
-        z = _as_fraction(param)
-        mc, cr, cd = 1, z.numerator, z.denominator
-    else:
-        d = _checked_damping(n, param)  # p/q, and c = sqrt(q * (q - p)) / q
-        cd = d.denominator
-        mc, cr = squarefree_decompose(cd * (cd - d.numerator))
+        mc, cr, cd = 1, p.numerator, p.denominator
+    else:  # p = damping, and c = sqrt(den * (den - num)) / den
+        cd = p.denominator
+        mc, cr = squarefree_decompose(cd * (cd - p.numerator))
     a_rows, band = _sample_operand(n, model, frame)
     if not cr:
         return ExactMatrix._raw(a_rows)
@@ -426,9 +416,8 @@ def ao_in_bh_frame(n: int, lam) -> ExactMatrix:
 
 def ep_hamiltonian(n: int, model: ModelId) -> ExactMatrix:
     """The exceptional-point member of a family (z = 1 or lambda = 0)."""
-    if model is ModelId.BH:
-        return bh_hamiltonian(n, 1)
-    return ao_hamiltonian(n, 0)
+    ctor = bh_hamiltonian if model is ModelId.BH else ao_hamiltonian
+    return ctor(n, EP_PARAMETER[model][1])
 
 
 # Each family's parameter name and its value at the exceptional point.

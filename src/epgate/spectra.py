@@ -228,14 +228,13 @@ def _sorted_roots(z: np.ndarray) -> list[complex]:
 
 def ladder_d(n: int, model: ModelId, param) -> Fraction:
     """The square d of the ladder step: 1 - z^2 for BH, damping(lambda) for
-    AO; d = 0 exactly at the EP.  n and the parameter are checked as
-    ``models.jacobi_data`` checks them: for AO a lambda < 0 or past the
-    domain edge raises."""
-    models._check_dimension(n)
+    AO; d = 0 exactly at the EP.  n and the parameter are checked by
+    ``models.checked_parameter``: for AO a lambda < 0 or past the domain
+    edge raises."""
+    x = models.checked_parameter(n, model, param)
     if model is ModelId.AO:
-        return models._checked_damping(n, param)
-    z = models._as_fraction(param)
-    p, q = z.numerator, z.denominator
+        return x
+    p, q = x.numerator, x.denominator
     return Fraction(q * q - p * p, q * q)
 
 

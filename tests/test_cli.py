@@ -158,6 +158,16 @@ def test_verify_bad_range(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--N", "-3..-1"], "model dimension must be >= 2, got -3"),
+    (["condition", "--N", "-2..3"], "condition report needs N >= 2, got -2"),
+], ids=["verify", "condition"])
+def test_negative_n_range_is_a_domain_error(capsys, argv, message):
+    # a range that starts with "-" is the value of --N, not a second flag
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 # ---------------------------------------------------------------------------
 # spectrum
 # ---------------------------------------------------------------------------

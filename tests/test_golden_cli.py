@@ -1,9 +1,11 @@
 """Byte-identity of CLI output against committed goldens.
 
-Each file under ``tests/golden/`` is the stdout of one ``epgate`` command,
-with report timings masked because they are the only nondeterministic
-bytes.  Scenario roots are floats (the rounded closed-form ladder), so they
-are compared to 1e-12 while every exact field is compared byte for byte.
+Each ``.txt`` and ``.json`` golden under ``tests/golden/`` except
+``cli_digests.json`` is the stdout of one ``epgate`` command, with report
+timings masked because they are the only nondeterministic bytes.  Scenario
+roots are floats (the rounded closed-form ladder), so they are compared to
+1e-12 while every exact field is compared byte for byte.
+``cli_digests.json`` holds digests of many more commands (see below).
 """
 
 import hashlib
@@ -87,8 +89,10 @@ def test_scenario_json_matches_golden(capsys):
 
 # ---------------------------------------------------------------------------
 # Digest manifest: sha256 of (exit code, stdout, stderr), timings masked, for
-# every command in DIGEST_CASES.  Regenerate it, only when an output change is
-# intended, with:  PYTHONPATH=src python tests/test_golden_cli.py
+# every command in DIGEST_CASES.  Float fields (roots, kappa) are hashed as
+# printed, so unlike the scenario goldens above they pin the last digit.
+# Regenerate it, only when an output change is intended, with:
+#     PYTHONPATH=src python tests/test_golden_cli.py
 # ---------------------------------------------------------------------------
 
 DIGESTS = GOLDEN / "cli_digests.json"
@@ -109,7 +113,8 @@ DIGEST_CASES = [
        "--format", fmt]
       for model, n, grid in (("bh", 5, "-1:1:1/4"), ("ao", 6, "0:1/2:1/8"))
       for fmt in ("text", "json")),
-    *(["condition", "--N", "2..8", "--format", fmt] for fmt in ("text", "json")),
+    *(["condition", "--N", "2..8", "--format", fmt]
+      for fmt in ("text", "json")),
     # error paths: exit code 2 and one message on stderr
     ["gen", "--model", "bh", "--N", "1"],
     ["gen", "--model", "ao", "--N", "4", "--lambda", "-1/2"],

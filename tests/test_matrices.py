@@ -220,7 +220,7 @@ def test_matmul_pencil_sample_shape(model):
     a, b = models.family_pencil(n, model, "intertwiner")
     pairs = ExactMatrix([(a[i, j], b[i, j]) for i in range(n)
                          for j in range(n)])
-    scale = 1 - models._checked_damping(n, Fraction(1, 8))
+    scale = 1 - models.checked_parameter(n, ModelId.AO, Fraction(1, 8))
     for c in (RadicalSum.sqrt_rational(scale), RadicalSum.of(Fraction(3, 4)),
               RadicalSum()):
         column = ExactMatrix([[1], [c]])
@@ -294,6 +294,16 @@ def test_inverse_rational_errors():
         ExactMatrix([[1, 1], [1, 1]]).inverse_rational()
     with pytest.raises(StructureError):
         ExactMatrix([[RadicalSum.sqrt_int(2), 0], [0, 1]]).inverse_rational()
+
+
+def test_inverse_rational_swaps_rows_for_a_zero_pivot():
+    swap = ExactMatrix([[0, 1], [1, 0]])
+    assert swap.inverse_rational() == swap
+    m = ExactMatrix([[0, 2, 0], [0, 0, Fraction(1, 3)], [-1, 0, 0]])
+    inv = m.inverse_rational()
+    assert inv == ExactMatrix([[0, 0, -1], [Fraction(1, 2), 0, 0], [0, 3, 0]])
+    assert m @ inv == ExactMatrix.identity(3)
+    assert inv @ m == ExactMatrix.identity(3)
 
 
 def test_inverse_rational_gaussian_entries():

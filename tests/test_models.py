@@ -342,7 +342,7 @@ def test_pencil_families_equal_per_sample_similarity(name):
 def test_ao_samples_with_a_rational_scalar(n, lam):
     # 1 - damping = 1/4 is a rational square, so c = 1/2 takes the path
     # without a radicand product (mc = 1) in all three AO sample kinds
-    assert models._checked_damping(n, lam) == Fraction(3, 4)
+    assert models.checked_parameter(n, ModelId.AO, lam) == Fraction(3, 4)
     for name in ("ao_hamiltonian", "ao_in_jordan_basis", "ao_in_bh_frame"):
         sample = getattr(models, name)(n, lam)
         assert sample == REFERENCE_SAMPLES[name](n, lam), name
@@ -370,7 +370,7 @@ def _scalar(n, model, p):
 
 def _band_groups(n, model, frame):
     """Positions where B is nonzero, grouped by their (A, B) value pair."""
-    a, b = models._pencil(n, model, frame)
+    a, b = models.family_pencil(n, model, frame)
     groups = {}
     for i in range(n):
         for j in range(n):
@@ -384,7 +384,7 @@ def _band_groups(n, model, frame):
 def test_sample_is_the_pencil_in_radical_arithmetic(model, frame):
     # computing each (A, B) pair once changes no entry of A + c * B
     for n in range(2, 13):
-        a, b = models._pencil(n, model, frame)
+        a, b = models.family_pencil(n, model, frame)
         for p in _SHARING_PARAMS[model]:
             c = _scalar(n, model, p)
             assert models._sample(n, model, frame, p) == ExactMatrix(
@@ -420,6 +420,8 @@ def test_one_perturbed_mirror_entry_is_its_own_group(monkeypatch):
 
     def perturbed(n, model, frame):
         a, b = original(n, model, frame)
+        if frame == "identity":
+            return a, b
         return with_entry(a, *where, a[where] + 1), b
 
     monkeypatch.setattr(models, "family_pencil", perturbed)

@@ -123,6 +123,14 @@ def test_add_cancels_to_empty_term_set():
     assert total.items() == ()
 
 
+def test_constructor_cancels_terms_that_share_a_radicand():
+    # sqrt(8) = 2*sqrt(2) cancels -2*sqrt(2): the canonical zero
+    total = RadicalSum({8: 1, 2: -2})
+    assert total == ZERO
+    assert total.items() == ()
+    assert not total
+
+
 def test_add_keeps_distinct_radicands():
     total = RadicalSum({5: GaussianRational(1, 1)}) + 2 * SQRT2
     assert [m for m, _ in total.items()] == [2, 5]
@@ -143,6 +151,15 @@ def test_mul_merges_radicands():
 def test_mul_gaussian_norm():
     beta = RadicalSum.gaussian(-1, 1)
     assert beta * RadicalSum.gaussian(-1, -1) == RadicalSum.of(2)
+
+
+def test_mul_cancels_cross_terms():
+    # (sqrt(2) + sqrt(3)) * (sqrt(2) - sqrt(3)) = 2 - 3: the two sqrt(6)
+    # cross terms cancel and leave no term behind
+    sqrt3 = RadicalSum.sqrt_int(3)
+    product = (SQRT2 + sqrt3) * (SQRT2 - sqrt3)
+    assert product == RadicalSum.of(-1)
+    assert product.items() == ((1, GaussianRational(-1)),)
 
 
 def test_mul_extracts_square_factor():

@@ -270,6 +270,8 @@ def test_fault_injection_family_pencil(monkeypatch, where):
 
     def perturbed(n, model, frame):
         a, b = original(n, model, frame)
+        if frame == "identity":
+            return a, b
         return with_entry(a, i, j, a[i, j] + 1), b
 
     monkeypatch.setattr(models, "family_pencil", perturbed)
@@ -279,6 +281,25 @@ def test_fault_injection_family_pencil(monkeypatch, where):
                          (ModelId.AO, Fraction(1, 8))):
         for frame in ("transition", "intertwiner"):
             _assert_detected(check_charpoly_similarity(4, model, param, frame))
+
+
+@pytest.mark.parametrize("model", list(ModelId), ids=lambda m: m.value)
+def test_fault_injection_hamiltonian_pencil(monkeypatch, model):
+    # A of the "identity" pencil shifted where B is nonzero: every
+    # Hamiltonian sample is read from that pencil, so the EP checks fail
+    original = models.family_pencil
+    _, b = original(4, model, "identity")
+    i, j = next((i, j) for i in range(4) for j in range(4) if b[i, j])
+
+    def perturbed(n, m, frame):
+        a, b = original(n, m, frame)
+        if (m, frame) != (model, "identity"):
+            return a, b
+        return with_entry(a, i, j, a[i, j] + 1), b
+
+    monkeypatch.setattr(models, "family_pencil", perturbed)
+    _assert_detected(check_ep_degeneracy(4, model))
+    _assert_detected(check_jordanization(4, model))
 
 
 @pytest.mark.parametrize("model", list(ModelId), ids=lambda m: m.value)
