@@ -238,6 +238,48 @@ def run_process(*argv, timeout):
                           timeout=timeout)
 
 
+# every module a fresh interpreter loads for the package, each subcommand
+# and the root finder, printed as JSON with the subcommands' exit codes
+_IMPORT_PROBE = """
+import sys
+before = set(sys.modules)
+import contextlib, io, json
+import epgate
+from epgate import FloatPolynomial, find_roots
+from epgate.cli import main
+codes = []
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in json.loads(sys.argv[1]):
+        codes.append(main(argv))
+find_roots(FloatPolynomial((2, -3, 1)))
+print(json.dumps([codes, sorted(set(sys.modules) - before)]))
+"""
+
+
+def test_package_and_cli_import_only_the_standard_library():
+    # site may already hold third-party modules (.pth hooks) before the
+    # package loads, so only what the package brings in is checked
+    commands = [["verify", "--N", "2..4"],
+                ["gen", "--model", "q-bh", "--N", "3"],
+                ["scenario", "--row", "3", "--N", "3", "--t", "1/8"],
+                ["spectrum", "--model", "ao", "--N", "4",
+                 "--grid", "1/8:1/4:1/8"],
+                ["condition", "--N", "2..4"]]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(commands)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    codes, loaded = json.loads(done.stdout)
+    assert codes == [0] * len(commands)
+    assert "epgate.cli" in loaded
+    foreign = [m for m in loaded if m.split(".")[0] != "epgate"
+               and m.split(".")[0] not in sys.stdlib_module_names]
+    assert foreign == []
+
+
 def test_spectrum_ao_at_a_400_digit_lambda_finishes():
     # the certified spectrum reads damping(lambda) from the parameter; built
     # through the radical Hamiltonian it factored ~800-digit coupling

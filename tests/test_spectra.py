@@ -470,7 +470,7 @@ def test_find_roots_backward_error_criterion_at_shifted_triple_root():
 
 # Aberth used to hit its iteration cap at every N >= 20; the loss of
 # accuracy with N is the conditioning of the ladder's polynomial
-@pytest.mark.parametrize("n", [20, 24, 28, 32])
+@pytest.mark.parametrize("n", [2, 8, 20, 24, 28, 32, 40])
 def test_find_roots_converges_to_the_ladder_at_large_n(n):
     cases = ((ModelId.BH, Fraction(1, 2)), (ModelId.BH, Fraction(9, 10)),
              (ModelId.BH, Fraction(1)), (ModelId.AO, Fraction(1, 8)),
@@ -507,6 +507,76 @@ def test_find_roots_agrees_with_companion_eigenvalues():
     mine = np.array(find_roots(fp))
     numpy_roots = np.sort_complex(np.roots(np.array(fp.coefficients[::-1])))
     assert np.max(np.abs(np.sort_complex(mine) - numpy_roots)) <= 1e-8
+
+
+# roots of a monic polynomial of degree 1..12: distinct small integers,
+# conjugate pairs a +- bi off the real axis, and at most one doubled integer
+_ROOTS = st.tuples(
+    st.sets(st.integers(-6, 6), max_size=6),
+    st.sets(st.tuples(st.integers(-3, 3), st.integers(1, 3)), max_size=2),
+    st.none() | st.integers(-6, 6),
+).map(lambda t: ([complex(r) for r in t[0] if r != t[2]]
+                 + [complex(a, s * b) for a, b in t[1] for s in (1, -1)],
+                 t[2])).filter(lambda t: t[0] or t[1] is not None)
+
+
+def _nearest(roots, r, m):
+    return sorted(roots, key=lambda x: abs(x - r))[:m]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ROOTS)
+def test_hypothesis_find_roots_matches_numpy_roots(roots):
+    simple, doubled = roots
+    exact = simple + ([] if doubled is None else [complex(doubled)] * 2)
+    coeffs = np.poly(exact)  # descending
+    p = FloatPolynomial(tuple(complex(c) for c in coeffs[::-1]))
+    tol = 1e-12
+    found = find_roots(p, tol=tol)
+    assert len(found) == len(exact)
+    for r in found:
+        size = 1 + sum(abs(c) * abs(r) ** k
+                       for k, c in enumerate(p.coefficients))
+        value = sum(c * r ** k for k, c in enumerate(p.coefficients))
+        assert abs(value) <= tol * size * (1 + 1e-6)
+    oracle = np.roots(coeffs)
+    for r in simple:
+        (mine,), (theirs,) = _nearest(found, r, 1), _nearest(oracle, r, 1)
+        assert abs(mine - theirs) <= 1e-8 * (1 + abs(r)), r
+    if doubled is not None:
+        # a double root moves by the square root of a perturbation of the
+        # coefficients, so the pair's mean is compared at the square root
+        # of the tolerance
+        mine = sum(_nearest(found, doubled, 2)) / 2
+        theirs = sum(_nearest(oracle, doubled, 2)) / 2
+        assert abs(mine - theirs) <= 1e-4 * (1 + abs(doubled)), doubled
+
+
+def test_sorted_roots_orders_a_conjugate_pair_imag_ascending():
+    z = [1 + 2j, 3 + 0j, 1 - 2j, -1 + 0.5j, -1 - 0.5j, 0j]
+    assert spectra._sorted_roots(z) == [-1 - 0.5j, -1 + 0.5j, 0j,
+                                        1 - 2j, 1 + 2j, 3 + 0j]
+    arr = np.array(z)
+    assert spectra._sorted_roots(z) == list(
+        arr[np.lexsort((arr.imag, arr.real))])
+
+
+def test_find_roots_convergence_error_best_is_sorted():
+    p = FloatPolynomial.from_exact(
+        char_poly_tridiagonal(8, ModelId.BH, Fraction(1, 2)))
+    with pytest.raises(ConvergenceError) as err:
+        find_roots(p, max_iter=2)
+    best = err.value.best
+    assert len(best) == 8
+    assert best == sorted(best, key=lambda r: (r.real, r.imag))
+
+
+def test_find_roots_where_the_residual_modulus_leaves_the_floats():
+    # at the starting point both parts of p(z) are finite floats, but its
+    # modulus is not
+    c = 6.317536788548002e307 + 3.1693612799197204e306j
+    (root,) = find_roots(FloatPolynomial((c, 1)))
+    assert abs(root + c) <= 1e-15 * abs(c)
 
 
 def test_find_roots_is_deterministic():
