@@ -12,10 +12,11 @@ Subcommands:
 * ``condition`` Frobenius condition estimates of the transition matrices.
 
 Exit codes: 0 when everything requested passed, 1 when some exact check
-failed, 2 on usage or domain errors.  Parameters are exact rationals
-("3/4"); decimal shorthand is accepted only inside ``spectrum --grid`` and
-is converted by exact base-10 parsing, so binary floats never touch the
-exact layer.
+failed, 2 on usage or domain errors, a float overflow, or a matrix that
+lacks the structure a construction relies on (``StructureError``).
+Parameters are exact rationals ("3/4"); decimal shorthand is accepted only
+inside ``spectrum --grid`` and is converted by exact base-10 parsing, so
+binary floats never touch the exact layer.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import sys
 from fractions import Fraction
 
 from . import models, scenarios, serialize, spectra, verify
+from .matrices import StructureError
 from .models import DimensionError, DomainError, ModelId
 from .radicals import InvalidRadicand
 
@@ -59,20 +61,23 @@ def _parse_n_range(text: str) -> list[int]:
         raise UsageError(f"{text!r} is not an N or N range like 2..6")
 
 
-def _parse_grid(text: str) -> list[Fraction]:
+def _parse_grid(text: str, check) -> list[Fraction]:
+    """The grid's points, each passed to ``check`` before it is added, so a
+    point outside the domain stops the grid before the rest is built."""
     parts = text.split(":")
     if len(parts) != 3:
         raise UsageError(f"grid must be start:stop:step, got {text!r}")
     start, stop, step = (_parse_rational(p, allow_decimal=True) for p in parts)
     if step <= 0:
         raise UsageError("grid step must be positive")
+    if start > stop:
+        raise UsageError(f"grid {text!r} is empty")
     out = []
     v = start
     while v <= stop:
+        check(v)
         out.append(v)
         v += step
-    if not out:
-        raise UsageError(f"grid {text!r} is empty")
     return out
 
 
@@ -132,8 +137,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    grid = _parse_grid(args.grid)
-    reports = spectra.reality_scan(args.N, ModelId(args.model), grid)
+    model = ModelId(args.model)
+    grid = _parse_grid(
+        args.grid, lambda p: models.checked_parameter(args.N, model, p))
+    reports = spectra.reality_scan(args.N, model, grid)
     serialize.emit(reports, args.format, args.out)
     return 0
 
@@ -237,7 +244,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (UsageError, DomainError, DimensionError, InvalidRadicand,
-            OSError) as exc:
+            StructureError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

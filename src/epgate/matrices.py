@@ -10,14 +10,14 @@ norm.
 
 A product is one fused fraction-free dot product per entry (the
 common-denominator idea of Bareiss, applied to a single dot product): integer
-numerators over a running denominator per radicand, reduced to a canonical
-``RadicalSum`` once, at the end.  The integer terms are the coefficients' own
-(re, im, den) triples; the left operand is read once per product, and once
-for all the products of a Faddeev-LeVerrier characteristic polynomial.  Both
-operands are read as their nonzero entries only, so a zero entry costs no
-arithmetic (as in Gustavson's sparse product, ACM TOMS 4(3), 1978, though
-here column by column), and an output entry that no term reaches is the
-shared zero.
+numerators over a running denominator per radicand, reduced once, at the
+end, into the entry's term tuple.  The kernel reads and writes the scalars'
+own (radicand, re, im, den) terms, with no per-term object; the left
+operand is read once per product, and once for all the products of a
+Faddeev-LeVerrier characteristic polynomial.  Both operands are read as
+their nonzero entries only and the product runs row by row, as in
+Gustavson's sparse product (ACM TOMS 4(3), 1978), so a zero entry costs no
+arithmetic and an output entry that no term reaches is the shared zero.
 
 Inversion is deliberately structural -- back substitution for triangular
 matrices with monomially invertible diagonals, Gauss-Jordan over Gaussian
@@ -29,7 +29,7 @@ factorizations, with the Pascal core inverted in closed form
 
 from __future__ import annotations
 
-from math import sqrt
+from math import gcd, sqrt
 
 from .radicals import (
     DivisionByZero,
@@ -37,7 +37,6 @@ from .radicals import (
     MultiTermInverse,
     RadicalSum,
     invert_monomial,
-    radicand_product,
 )
 
 _ZERO = RadicalSum()
@@ -255,7 +254,8 @@ class ExactMatrix:
         return ExactPolynomial(coeffs)
 
     def frobenius_norm(self) -> float:
-        """Floating-point Frobenius norm of the exact matrix."""
+        """Floating-point Frobenius norm of the exact matrix; OverflowError
+        once a squared entry or the sum passes the float range."""
         return sqrt(sum(abs(complex(e)) ** 2 for row in self._rows for e in row))
 
     # -- rendering -----------------------------------------------------------
@@ -269,36 +269,48 @@ class ExactMatrix:
 
 def _read_rows(a: ExactMatrix) -> list:
     """The left operand of a product, read once: each row's nonzero entries
-    as (column, integer terms) pairs."""
-    return [[(k, e.integer_terms()) for k, e in enumerate(row) if e]
+    as (column, terms) pairs."""
+    return [[(k, e._terms) for k, e in enumerate(row) if e._terms]
             for row in a._rows]
 
 
 def _accumulate(rows: list, other: ExactMatrix) -> ExactMatrix:
     """The product of a left operand read by ``_read_rows`` with ``other``.
 
-    ``other`` is read once, column by column, as its nonzero entries only;
-    an output entry sums the terms at the positions where both its row and
-    its column are nonzero, one integer [re, im, den] per radicand:
-    numerators add when denominators match and cross-multiply when they
-    differ.  An entry no term reaches is the shared zero.
+    Row by row (Gustavson): each nonzero a_ik of the row meets the nonzero
+    entries b_kj of row k of ``other``, read once as its nonzero terms, and
+    each term pair adds to the output entry j's running sum, one integer
+    [re, im, den] per radicand: numerators add when denominators match and
+    cross-multiply when they differ.  A pair with radicand 1 on either side
+    keeps the other radicand with no gcd.  Each sum is then reduced by one
+    gcd into the entry's terms, sorted only when it holds more than one
+    radicand; an entry no pair reaches is the shared zero.
     """
-    cols = [{k: e.integer_terms() for k, e in enumerate(col) if e}
-            for col in zip(*other._rows)]
+    b_rows = [[(j, e._terms) for j, e in enumerate(row) if e._terms]
+              for row in other._rows]
+    width = len(other._rows[0])
+    new = object.__new__
     out = []
     for row in rows:
-        out_row = []
-        for col in cols:
-            acc: dict[int, list[int]] = {}
-            for k, a in row:
-                b = col.get(k)
-                if b is None:
-                    continue
+        sums: dict[int, dict[int, list[int]]] = {}
+        for k, a in row:
+            for j, b in b_rows[k]:
+                acc = sums.get(j)
+                if acc is None:
+                    acc = sums[j] = {}
                 for m1, ar, ai, ad in a:
                     for m2, br, bi, bd in b:
-                        key, g = radicand_product(m1, m2)
-                        re = (ar * br - ai * bi) * g
-                        im = (ar * bi + ai * br) * g
+                        re = ar * br - ai * bi
+                        im = ar * bi + ai * br
+                        if m1 == 1:
+                            key = m2
+                        elif m2 == 1:
+                            key = m1
+                        else:
+                            g = gcd(m1, m2)
+                            key = (m1 // g) * (m2 // g)
+                            if g != 1:
+                                re, im = re * g, im * g
                         den = ad * bd
                         s = acc.get(key)
                         if s is None:
@@ -310,7 +322,19 @@ def _accumulate(rows: list, other: ExactMatrix) -> ExactMatrix:
                             s[0] = s[0] * den + re * s[2]
                             s[1] = s[1] * den + im * s[2]
                             s[2] *= den
-            out_row.append(RadicalSum.from_integer_sums(acc) if acc else _ZERO)
+        out_row = [_ZERO] * width
+        for j, acc in sums.items():
+            terms = []
+            for m, (re, im, den) in acc.items():
+                if re or im:
+                    g = gcd(re, im, den)
+                    terms.append((m, re // g, im // g, den // g))
+            if terms:
+                if len(terms) > 1:
+                    terms.sort()
+                e = new(RadicalSum)
+                e._terms = tuple(terms)
+                out_row[j] = e
         out.append(tuple(out_row))
     return ExactMatrix._raw(tuple(out))
 

@@ -41,7 +41,7 @@ from math import comb, factorial, gcd
 
 from .matrices import ExactMatrix, similarity
 from .radicals import (GaussianRational, RadicalSum, invert_monomial,
-                       radicand_product, squarefree_decompose)
+                       squarefree_decompose)
 
 _ZERO = RadicalSum()
 
@@ -330,8 +330,8 @@ def family_pencil(n: int, model: ModelId,
 def _sample_operand(n: int, model: ModelId, frame: str):
     """``family_pencil`` read once for sampling: A's rows, and the positions
     where B is nonzero grouped by their (A, B) entry pair (equal entries are
-    equal values).  Each group holds its positions, A's terms {radicand:
-    coefficient}, the same terms as integer triples, and B's integer terms."""
+    equal values).  Each group holds its positions, A's terms keyed by
+    radicand, {m: (m, re, im, den)}, and B's terms."""
     a, b = family_pencil(n, model, frame)
     groups = {}
     for i, row in enumerate(b.rows()):
@@ -339,9 +339,7 @@ def _sample_operand(n: int, model: ModelId, frame: str):
             if e:
                 groups.setdefault((a[i, j], e), []).append((i, j))
     return a.rows(), tuple(
-        (tuple(where), dict(x.items()),
-         {m: (re, im, den) for m, re, im, den in x.integer_terms()},
-         y.integer_terms())
+        (tuple(where), {t[0]: t for t in x.integer_terms()}, y.integer_terms())
         for (x, y), where in groups.items())
 
 
@@ -350,8 +348,9 @@ def _sample(n: int, model: ModelId, frame: str, param) -> ExactMatrix:
     c = cr/cd * sqrt(mc) = z or sqrt(1 - damping(lambda)).  Once per group
     of equal (A, B) pairs, each term of c * B (a radicand product unless
     mc = 1) is added in integers to A's term of the same radicand and made
-    canonical with one gcd, a zero sum dropped; that one immutable entry is
-    written at every position of the group.  Elsewhere the entry is A's."""
+    canonical with one gcd, a zero sum dropped; the terms, sorted when a
+    radicand was added, make one immutable entry, written at every position
+    of the group.  Elsewhere the entry is A's."""
     p = checked_parameter(n, model, param)
     if model is ModelId.BH:
         mc, cr, cd = 1, p.numerator, p.denominator
@@ -362,26 +361,30 @@ def _sample(n: int, model: ModelId, frame: str, param) -> ExactMatrix:
     if not cr:
         return ExactMatrix._raw(a_rows)
     rows = [list(r) for r in a_rows]
-    for where, a_terms, a_ints, b in band:
+    new = object.__new__
+    for where, a_terms, b in band:
         out = dict(a_terms)
+        added = False
         for m, br, bi, bd in b:
             re, im, den = cr * br, cr * bi, cd * bd
-            if mc != 1:
-                m, g = radicand_product(mc, m)
-                re, im = re * g, im * g
-            t = a_ints.get(m)
-            if t is not None:
-                ar, ai, ad = t
+            if mc != 1:  # radicand_product, written inline
+                g = gcd(mc, m)
+                m = (mc // g) * (m // g)
+                if g != 1:
+                    re, im = re * g, im * g
+            t = a_terms.get(m)
+            if t is None:
+                added = True
+            else:
+                _, ar, ai, ad = t
                 re, im, den = re * ad + ar * den, im * ad + ai * den, den * ad
                 if not (re or im):
                     del out[m]
                     continue
-            # GaussianRational._make and RadicalSum._raw, written inline
             g = gcd(re, im, den)
-            out[m] = c = object.__new__(GaussianRational)
-            c._re, c._im, c._den = re // g, im // g, den // g
-        e = object.__new__(RadicalSum)
-        e._terms = out
+            out[m] = (m, re // g, im // g, den // g)
+        e = new(RadicalSum)
+        e._terms = tuple(sorted(out.values()) if added else out.values())
         for i, j in where:
             rows[i][j] = e
     return ExactMatrix._raw(tuple(map(tuple, rows)))

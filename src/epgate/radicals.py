@@ -1,11 +1,14 @@
 """Exact arithmetic in the field of finite sums  sum_k c_k * sqrt(m_k).
 
-Coefficients c_k are Gaussian rationals, each one integer triple
-(re + im*i)/den in lowest terms that the product kernel reads as it is; the
-radicands m_k are distinct squarefree positive integers, m = 1 holding the
-rational part.  The representation is canonical -- no zero coefficients, no
-non-squarefree keys, no unreduced triples -- so structural equality is value
-equality and every identity downstream is checked with zero tolerance.
+A value (``RadicalSum``) is one tuple of integer terms (m, re, im, den),
+the term (re + im*i)/den * sqrt(m): strictly ascending in m, each m
+squarefree (m = 1 holds the rational part), no zero term, and each triple
+in lowest terms with den > 0.  The form is canonical, so value equality is
+tuple equality and every identity downstream is checked with zero
+tolerance.  The product kernel (``matrices``) and the samplers (``models``,
+``spectra``) read and write the tuple as it is, with no per-term object;
+``GaussianRational``, one lowest-terms triple of its own, is the public
+coefficient type, built on demand by ``RadicalSum.items``.
 
 All values are immutable and every operation is a pure function; instances may
 be shared freely across threads.
@@ -226,41 +229,65 @@ def _as_gaussian(x) -> GaussianRational:
 _GAUSS_ZERO = GaussianRational(0)
 
 
+def _term(m: int, re: int, im: int, den: int) -> tuple[int, int, int, int]:
+    """The term (re + im*i)/den * sqrt(m) in lowest terms, for a nonzero
+    numerator and a positive den."""
+    g = gcd(re, im, den)
+    return m, re // g, im // g, den // g
+
+
+def _add_into(acc: dict, m: int, re: int, im: int, den: int) -> None:
+    """Add (re + im*i)/den to the running sum acc[m] = [re, im, den]:
+    numerators add when denominators match and cross-multiply otherwise."""
+    s = acc.get(m)
+    if s is None:
+        acc[m] = [re, im, den]
+    elif s[2] == den:
+        s[0] += re
+        s[1] += im
+    else:
+        s[0] = s[0] * den + re * s[2]
+        s[1] = s[1] * den + im * s[2]
+        s[2] *= den
+
+
+def _canonical(sums: dict) -> tuple:
+    """The canonical terms of sums {m: [re, im, den]} over squarefree m."""
+    out = [_term(m, re, im, den) for m, (re, im, den) in sums.items()
+           if re or im]
+    if len(out) > 1:
+        out.sort()
+    return tuple(out)
+
+
 class RadicalSum:
     """Canonical finite sum of Gaussian-rational multiples of square roots.
 
-    Terms map squarefree radicands to nonzero Gaussian-rational coefficients;
-    the radicand 1 carries the rational part.  Any mapping passed to the
-    constructor is canonicalized (radicands reduced to squarefree form, zero
-    coefficients dropped), so two equal values always compare equal
-    structurally.
+    ``_terms`` is one tuple of integer terms (m, re, im, den), the term
+    (re + im*i)/den * sqrt(m): strictly ascending in m, each m squarefree
+    (m = 1 carries the rational part), no zero term, each triple in lowest
+    terms with den > 0.  Any mapping {radicand: coefficient} passed to the
+    constructor is brought to that form (radicands reduced to squarefree
+    form, zero coefficients dropped), so equal values are equal tuples.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
-        canon: dict[int, GaussianRational] = {}
+        acc: dict[int, list[int]] = {}
         if terms:
             for m, c in dict(terms).items():
                 c = _as_gaussian(c)
-                if not c:
-                    continue
-                s, f = squarefree_decompose(m)
-                if f != 1:
-                    c = c * f
-                acc = canon.get(s)
-                c = c if acc is None else acc + c
                 if c:
-                    canon[s] = c
-                elif s in canon:
-                    del canon[s]
-        self._terms = canon
+                    s, f = squarefree_decompose(m)
+                    _add_into(acc, s, c._re * f, c._im * f, c._den)
+        self._terms = _canonical(acc)
 
     @classmethod
-    def _raw(cls, canon: dict[int, GaussianRational]) -> "RadicalSum":
-        # internal fast path: caller guarantees canonical content
+    def _raw(cls, terms: tuple) -> "RadicalSum":
+        # internal fast path: caller guarantees canonical terms
         out = object.__new__(cls)
-        out._terms = canon
+        out._terms = terms
         return out
 
     # -- constructors -------------------------------------------------------
@@ -271,7 +298,7 @@ class RadicalSum:
         if isinstance(x, RadicalSum):
             return x
         g = _as_gaussian(x)
-        return cls._raw({1: g} if g else {})
+        return cls._raw(((1, g._re, g._im, g._den),) if g else ())
 
     @classmethod
     def gaussian(cls, re, im) -> "RadicalSum":
@@ -281,7 +308,7 @@ class RadicalSum:
     def sqrt_int(cls, n: int) -> "RadicalSum":
         """Exact sqrt(n) for positive integer n, canonicalized to f*sqrt(s)."""
         s, f = squarefree_decompose(n)
-        return cls._raw({s: GaussianRational(f)})
+        return cls._raw(((s, f, 0, 1),))
 
     @classmethod
     def sqrt_rational(cls, q) -> "RadicalSum":
@@ -291,56 +318,54 @@ class RadicalSum:
             raise InvalidRadicand(f"square root domain is positive rationals, got {q}")
         p, d = q.numerator, q.denominator
         s, f = squarefree_decompose(p * d)
-        return cls._raw({s: GaussianRational._make(f, 0, d)})
+        return cls._raw((_term(s, f, 0, d),))
 
     # -- inspection ---------------------------------------------------------
 
     def items(self) -> tuple[tuple[int, GaussianRational], ...]:
         """Terms as (radicand, coefficient) pairs, radicand ascending."""
-        return tuple(sorted(self._terms.items()))
+        return tuple([(m, GaussianRational._raw(re, im, den))
+                      for m, re, im, den in self._terms])
 
     def __bool__(self) -> bool:
         return bool(self._terms)
 
     def integer_terms(self) -> tuple[tuple[int, int, int, int], ...]:
-        """Terms as (radicand, re, im, den) integer quadruples, each
-        coefficient's own triple: the term is (re + im*i)/den * sqrt(m)."""
-        return tuple([(m, c._re, c._im, c._den)
-                      for m, c in self._terms.items()])
+        """The stored terms (radicand, re, im, den), radicand ascending: the
+        term is (re + im*i)/den * sqrt(m)."""
+        return self._terms
 
     @classmethod
     def from_integer_sums(cls, sums: dict[int, list[int]]) -> "RadicalSum":
         """Canonical value of sums {m: [re, im, den]} read as the sum of
         (re + im*i)/den * sqrt(m); keys must be squarefree, den positive."""
-        out = {}
-        for m, (re, im, den) in sums.items():
-            if re or im:
-                out[m] = GaussianRational._make(re, im, den)
-        return cls._raw(out)
+        return cls._raw(_canonical(sums))
 
     def as_gaussian(self) -> GaussianRational:
         """The value as a Gaussian rational; ValueError if radicals remain."""
-        if not self._terms:
+        t = self._terms
+        if not t:
             return _GAUSS_ZERO
-        if set(self._terms) != {1}:
+        if len(t) > 1 or t[0][0] != 1:
             raise ValueError(f"{self} has irrational terms")
-        return self._terms[1]
+        return GaussianRational._raw(*t[0][1:])
 
     def __eq__(self, other) -> bool:
         if isinstance(other, RadicalSum):
             return self._terms == other._terms
         if isinstance(other, (int, Fraction, GaussianRational)):
-            return self == RadicalSum.of(other)
+            return self._terms == RadicalSum.of(other)._terms
         return NotImplemented
 
     def __hash__(self):
         # consistent with __eq__ against int, Fraction and GaussianRational:
         # a value without radicals hashes as its Gaussian rational
-        if not self._terms:
+        t = self._terms
+        if not t:
             return 0
-        if self._terms.keys() == {1}:
-            return hash(self._terms[1])
-        return hash(frozenset(self._terms.items()))
+        if len(t) == 1 and t[0][0] == 1:
+            return hash(GaussianRational._raw(*t[0][1:]))
+        return hash(t)
 
     # -- field operations ---------------------------------------------------
 
@@ -355,20 +380,37 @@ class RadicalSum:
             return other
         if not b:
             return self
-        out = dict(a)
-        for m, c in b.items():
-            acc = out.get(m)
-            s = c if acc is None else acc + c
-            if s:
-                out[m] = s
-            elif m in out:
-                del out[m]
-        return RadicalSum._raw(out)
+        # merge two ascending term tuples
+        out = []
+        i = j = 0
+        while i < len(a) and j < len(b):
+            x, y = a[i], b[j]
+            if x[0] < y[0]:
+                out.append(x)
+                i += 1
+            elif y[0] < x[0]:
+                out.append(y)
+                j += 1
+            else:
+                m, ar, ai, ad = x
+                _, br, bi, bd = y
+                if ad == bd:
+                    re, im, den = ar + br, ai + bi, ad
+                else:
+                    re, im, den = ar * bd + br * ad, ai * bd + bi * ad, ad * bd
+                if re or im:
+                    out.append(_term(m, re, im, den))
+                i += 1
+                j += 1
+        out += a[i:]
+        out += b[j:]
+        return RadicalSum._raw(tuple(out))
 
     __radd__ = __add__
 
     def __neg__(self) -> "RadicalSum":
-        return RadicalSum._raw({m: -c for m, c in self._terms.items()})
+        return RadicalSum._raw(tuple([(m, -re, -im, den)
+                                      for m, re, im, den in self._terms]))
 
     def __sub__(self, other) -> "RadicalSum":
         if not isinstance(other, RadicalSum):
@@ -387,20 +429,16 @@ class RadicalSum:
                 other = RadicalSum.of(other)
             except TypeError:
                 return NotImplemented
-        if not self._terms or not other._terms:
+        a, b = self._terms, other._terms
+        if not a or not b:
             return ZERO
-        out: dict[int, GaussianRational] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
+        acc: dict[int, list[int]] = {}
+        for m1, ar, ai, ad in a:
+            for m2, br, bi, bd in b:
                 key, g = radicand_product(m1, m2)
-                c = c1 * c2 * g if g != 1 else c1 * c2
-                acc = out.get(key)
-                c = c if acc is None else acc + c
-                if c:
-                    out[key] = c
-                elif key in out:
-                    del out[key]
-        return RadicalSum._raw(out)
+                _add_into(acc, key, (ar * br - ai * bi) * g,
+                          (ar * bi + ai * br) * g, ad * bd)
+        return RadicalSum._raw(_canonical(acc))
 
     __rmul__ = __mul__
 
@@ -411,12 +449,15 @@ class RadicalSum:
             if not g:
                 raise DivisionByZero("exact division by zero")
             inv = g.reciprocal()
-            return RadicalSum._raw({m: c * inv for m, c in self._terms.items()})
+            c, e, f = inv._re, inv._im, inv._den
+            return RadicalSum._raw(tuple([
+                _term(m, re * c - im * e, re * e + im * c, den * f)
+                for m, re, im, den in self._terms]))
         return NotImplemented
 
     def __complex__(self) -> complex:
-        return sum((complex(c) * sqrt(m) for m, c in self._terms.items()),
-                   complex(0))
+        return sum((complex(re / den, im / den) * sqrt(m)
+                    for m, re, im, den in self._terms), complex(0))
 
     # -- rendering ----------------------------------------------------------
 
@@ -453,15 +494,17 @@ def _term_str(m: int, c: GaussianRational) -> str:
 
 
 def invert_monomial(a: RadicalSum) -> RadicalSum:
-    """Exact inverse of a single-term value c*sqrt(m): (1/(c*m))*sqrt(m)."""
+    """Exact inverse of a single-term value c*sqrt(m): (1/(c*m))*sqrt(m),
+    with c = (re + im*i)/den, so 1/(c*m) = den*(re - im*i)/(m*(re^2 + im^2))."""
     terms = a._terms
     if not terms:
         raise DivisionByZero("inverse of exact zero")
     if len(terms) > 1:
         raise MultiTermInverse(
             f"{a} has {len(terms)} terms; only monomials invert at field level")
-    ((m, c),) = terms.items()
-    return RadicalSum._raw({m: (c * m).reciprocal()})
+    ((m, re, im, den),) = terms
+    return RadicalSum._raw((_term(m, den * re, -den * im,
+                                  m * (re * re + im * im)),))
 
 
 ZERO = RadicalSum()

@@ -60,7 +60,7 @@ from sys import float_info
 from . import models
 from .matrices import ExactMatrix, ExactPolynomial, StructureError
 from .models import DomainError, ModelId
-from .radicals import GaussianRational, RadicalSum, radicand_product
+from .radicals import RadicalSum, radicand_product
 
 _ZERO = RadicalSum()
 
@@ -269,12 +269,9 @@ def ladder_poly(n: int, d: Fraction) -> ExactPolynomial:
     for j, e in enumerate(_ladder_sums(n)):
         if not num_j:
             break
-        # GaussianRational._make and RadicalSum._raw, written inline
         g = gcd(e, den_j)
-        c = object.__new__(GaussianRational)
-        c._re, c._im, c._den = e // g * num_j, 0, den_j // g
         out[n - 2 * j] = r = object.__new__(RadicalSum)
-        r._terms = {1: c}
+        r._terms = ((1, e // g * num_j, 0, den_j // g),)
         num_j, den_j = num_j * num, den_j * den
     return ExactPolynomial._raw(tuple(out))
 
@@ -398,6 +395,10 @@ def condition_report(n_values) -> list[ConditionEntry]:
         for n in n_list:
             if n < 2:
                 raise DomainError(f"condition report needs N >= 2, got {n}")
-            kappa = fwd(n).frobenius_norm() * inv(n).frobenius_norm()
+            try:
+                kappa = fwd(n).frobenius_norm() * inv(n).frobenius_norm()
+            except OverflowError:
+                raise DomainError(f"the Frobenius norms of {family} at N={n} "
+                                  "overflow a float") from None
             out.append(ConditionEntry(N=n, family=family, kappa=kappa))
     return out

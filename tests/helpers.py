@@ -219,18 +219,25 @@ class FractionPair:
 
 
 def assert_canonical(value):
-    """A RadicalSum (or GaussianRational) in canonical form: squarefree
-    radicands, no zero coefficient, and every coefficient an integer triple
+    """A RadicalSum (or GaussianRational) in canonical form.  A RadicalSum's
+    terms are one tuple of integer quadruples (m, re, im, den): strictly
+    ascending in m, each m squarefree, no zero term, and each triple
     (re, im, den) with den > 0 and gcd(re, im, den) == 1."""
-    terms = (value.items() if isinstance(value, RadicalSum)
-             else ((1, value),))
-    for m, c in terms:
-        assert isinstance(c, GaussianRational), c
-        triple = (c._re, c._im, c._den)
+    if not isinstance(value, RadicalSum):
+        triple = (value._re, value._im, value._den)
         assert all(type(x) is int for x in triple), triple
-        assert c._den > 0 and math.gcd(*triple) == 1, triple
-        if isinstance(value, RadicalSum):
-            assert c and squarefree_decompose(m) == (m, 1), (m, c)
+        assert value._den > 0 and math.gcd(*triple) == 1, triple
+        return
+    terms = value.integer_terms()
+    assert type(terms) is tuple, terms
+    radicands = [t[0] for t in terms]
+    assert radicands == sorted(set(radicands)), terms
+    for t in terms:
+        assert type(t) is tuple and len(t) == 4, t
+        assert all(type(x) is int for x in t), t
+        m, re, im, den = t
+        assert (re or im) and den > 0 and math.gcd(re, im, den) == 1, t
+        assert squarefree_decompose(m) == (m, 1), t
 
 
 def trial_division_squarefree(n: int) -> tuple[int, int]:

@@ -10,7 +10,7 @@ import pytest
 from epgate import models, serialize
 from epgate.cli import main
 from epgate.models import ModelId
-from helpers import GOLDEN_Q_BH
+from helpers import GOLDEN_Q_BH, fresh_model_caches, perturb_constructor
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -356,6 +356,26 @@ def test_scenario_radicand_that_cannot_be_split_is_refused(row, n, t):
     assert len(done.stderr.splitlines()) == 1
 
 
+def test_structure_error_is_an_error_line_not_a_failed_check(capsys):
+    # a fault below the diagonal of the intertwiner core leaves nothing to
+    # back-substitute: exit 2, since exit 1 means a check ran and failed
+    with fresh_model_caches(), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(models, "intertwiner_core", perturb_constructor(
+            models.intertwiner_core, where=(1, 0)))
+        code, out, err = run_cli(capsys, "verify", "--N", "4..4", "--checks",
+                                 "intertwiner-factorization")
+    assert (code, out, err) == (2, "", "error: matrix is not upper triangular\n")
+
+
+def test_spectrum_grid_stops_at_its_first_point_outside_the_domain():
+    # the grid's points are checked as they are made, so a billion-point
+    # grid starting outside the domain exits before it is built
+    done = run_process("spectrum", "--model", "ao", "--N", "4", "--grid",
+                       "-1/4:1000000000:1", timeout=20)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", "error: lambda must be >= 0, got -1/4\n")
+
+
 # ---------------------------------------------------------------------------
 # condition
 # ---------------------------------------------------------------------------
@@ -373,6 +393,13 @@ def test_condition_text(capsys):
     code, out, _ = run_cli(capsys, "condition", "--N", "2")
     assert code == 0
     assert out.startswith("condition q-bh  N=2")
+
+
+def test_condition_float_overflow_is_a_domain_error(capsys):
+    # |Q_BH|_F^2 passes the float range from N = 93 on
+    code, out, err = run_cli(capsys, "condition", "--N", "92..93")
+    assert (code, out, err) == (
+        2, "", "error: the Frobenius norms of q-bh at N=93 overflow a float\n")
 
 
 # ---------------------------------------------------------------------------

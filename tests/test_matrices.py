@@ -237,6 +237,65 @@ def test_matmul_terms_cancelling_to_zero():
         assert _assert_sparse_product(q, q_inv) == 20
 
 
+# the kernel's own branches: a term pair with radicand 1 on either side
+# keeps the other radicand, any other pair goes through a gcd, and an entry's
+# terms are reduced and sorted once, at the end
+
+def _assert_kernel_product(a, b):
+    """a @ b against the naive product, entry by entry as term tuples."""
+    product = a @ b
+    for row, ref_row in zip(product.rows(), naive_matmul(a, b).rows()):
+        for e, ref in zip(row, ref_row):
+            assert_canonical(e)
+            assert e.integer_terms() == ref.integer_terms()
+    return product
+
+
+def test_kernel_radical_free_times_radical():
+    rational = ExactMatrix([[Fraction(1, 2), G(0, 3)],
+                            [G(2, -1), Fraction(-5, 7)]])
+    radical = ExactMatrix([[T(2, 1), T(3, Fraction(1, 3)) + 1],
+                           [T(6, 0, 2), T(2, Fraction(-1, 4))]])
+    # 1/2 * sqrt(2) + 3i * 2i*sqrt(6)
+    assert _assert_kernel_product(rational, radical)[0, 0] == \
+        T(2, Fraction(1, 2)) + T(6, -6)
+    _assert_kernel_product(radical, rational)
+
+
+def test_kernel_radicand_one_on_either_side():
+    # 2 * 2*sqrt(7) + sqrt(5) * 1 + 1 * 1/3, and the same pairs swapped
+    a = ExactMatrix([[2, T(5, 1), 1]])
+    b = ExactMatrix([[T(7, 2)], [1], [Fraction(1, 3)]])
+    assert _assert_kernel_product(a, b)[0, 0].integer_terms() == (
+        (1, 1, 0, 3), (5, 1, 0, 1), (7, 4, 0, 1))
+    _assert_kernel_product(transpose(b), transpose(a))
+
+
+def test_kernel_pairs_meeting_on_one_radicand_cancel():
+    # sqrt(2)*sqrt(3) (gcd), sqrt(6)*(-1) (radicand 1 on the right) and
+    # 1*sqrt(6) (radicand 1 on the left) all reach sqrt(6)
+    a = ExactMatrix([[T(2, 1), T(6, 1), 1]])
+    assert _assert_kernel_product(
+        a, ExactMatrix([[T(3, 1)], [-1], [T(6, 1)]]))[0, 0] == T(6, 1)
+    zero = _assert_kernel_product(
+        a, ExactMatrix([[T(3, 1)], [-1], [0]]))[0, 0]
+    assert not zero and zero.integer_terms() == ()
+    # denominators 2 and 6 cross-multiply before they cancel
+    zero = _assert_kernel_product(
+        ExactMatrix([[T(2, Fraction(1, 2)), T(6, Fraction(1, 3))]]),
+        ExactMatrix([[T(3, 1)], [Fraction(-3, 2)]]))[0, 0]
+    assert not zero and zero.integer_terms() == ()
+
+
+def test_kernel_mixed_radicand_entry_comes_out_sorted():
+    # pairs reach sqrt(35), sqrt(6), 3 and sqrt(2), in that order
+    a = ExactMatrix([[T(5, 1), T(2, 1), T(3, 1), 1]])
+    b = ExactMatrix([[T(7, 1)], [T(3, 1)], [T(3, 1)], [T(2, 1)]])
+    e = _assert_kernel_product(a, b)[0, 0]
+    assert e.integer_terms() == (
+        (1, 3, 0, 1), (2, 1, 0, 1), (6, 1, 0, 1), (35, 1, 0, 1))
+
+
 # ---------------------------------------------------------------------------
 # structural inverses
 # ---------------------------------------------------------------------------

@@ -4,10 +4,11 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epgate import radicals
+from epgate import models, radicals, serialize, spectra
+from epgate.models import ModelId
 from epgate.radicals import (
     DivisionByZero,
     GaussianRational,
@@ -402,3 +403,85 @@ def test_integer_terms_round_trip(a, b, scale):
              for m, re, im, den in terms})
         assert scaled == value
         assert_canonical(scaled)
+
+
+# ---------------------------------------------------------------------------
+# canonical form: every route that makes a value makes the one term tuple
+# ---------------------------------------------------------------------------
+
+_gaussians = st.builds(GaussianRational, _parts, _parts)
+
+
+def _same_terms(x, y):
+    return x.integer_terms() == y.integer_terms()
+
+
+@given(radical_sums, radical_sums, _gaussians, st.integers(1, 10 ** 6),
+       st.fractions(min_value=Fraction(1, 1000), max_value=10 ** 6,
+                    max_denominator=1000),
+       st.integers(1, 12))
+def test_every_scalar_route_is_canonical(a, b, g, n, q, k):
+    values = [a, b, a + b, a - b, a * b, -a, 1 - a, a * g, g * a, a + g,
+              RadicalSum.of(g), RadicalSum.gaussian(g.re, g.im),
+              RadicalSum.sqrt_int(n), RadicalSum.sqrt_rational(q),
+              # radicands with a square factor enter reduced
+              RadicalSum({m * k * k: c for m, c in a.items()}),
+              RadicalSum.from_integer_sums(
+                  {m: [re * k, im * k, den * k]
+                   for m, re, im, den in a.integer_terms()})]
+    if g:
+        values.append(a / g)
+    for x in (a, b, RadicalSum.sqrt_int(n), RadicalSum.sqrt_rational(q)):
+        if len(x.integer_terms()) == 1:
+            values.append(invert_monomial(x))
+            assert _same_terms(invert_monomial(x) * x, ONE)
+    for v in values:
+        assert_canonical(v)
+    # equal values are equal tuples, whatever the route
+    assert _same_terms((a + b) - b, a)
+    assert _same_terms(a * b, b * a)
+    assert _same_terms(RadicalSum(dict(a.items())), a)
+    assert _same_terms(values[14], RadicalSum({m: c * k
+                                              for m, c in a.items()}))
+    assert _same_terms(RadicalSum.sqrt_int(n), RadicalSum({n: 1}))
+    root = RadicalSum.sqrt_rational(q)
+    assert _same_terms(root * root, RadicalSum.of(q))
+    if g:
+        assert _same_terms(a / g * g, a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 6), st.sampled_from(list(ModelId)),
+       st.sampled_from(["identity", "transition", "intertwiner"]),
+       st.integers(-64, 64))
+def test_every_matrix_route_is_canonical(n, model, frame, k):
+    # BH z in [-2, 2]; AO lambda in [0, 1/4], inside the domain at every n
+    param = (Fraction(k, 32) if model is ModelId.BH
+             else Fraction(abs(k), 256))
+    sample = models._sample(n, model, frame, param)
+    a, b = models.family_pencil(n, model, frame)
+    p = models.checked_parameter(n, model, param)
+    c = (RadicalSum.of(p) if model is ModelId.BH
+         else RadicalSum.sqrt_rational(1 - p))
+    product = sample @ sample
+    parsed = serialize.parse_json(serialize.render_json(sample))
+    reference = [[a[i, j] + c * b[i, j] for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for e in (sample[i, j], product[i, j], parsed[i, j]):
+                assert_canonical(e)
+            assert _same_terms(sample[i, j], reference[i][j])
+            assert _same_terms(parsed[i, j], sample[i, j])
+    ladder = spectra.ladder_poly(n, spectra.ladder_d(n, model, param))
+    recurrence = spectra.char_poly_tridiagonal(n, model, param)
+    for x, y in zip(ladder.coefficients, recurrence.coefficients,
+                    strict=True):
+        assert_canonical(x)
+        assert _same_terms(x, y)
+
+
+@given(st.one_of(st.integers(), st.fractions(), _gaussians))
+def test_a_rational_value_hashes_as_itself(x):
+    r = RadicalSum.of(x)
+    assert_canonical(r)
+    assert r == x and hash(r) == hash(x)
