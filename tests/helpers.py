@@ -304,12 +304,17 @@ def perturb_constructor(fn, where="corner", delta=1):
     return wrapper
 
 
-# lru caches of epgate.models (constructors) and epgate.spectra (the ladder
-# proof), collected before any test patches the modules
-_MODEL_CACHES = [fn for module in (models, spectra)
-                 for fn in vars(module).values()
-                 if hasattr(fn, "cache_clear")
-                 and getattr(fn, "__module__", None) == module.__name__]
+# lru caches of epgate.spectra (the ladder proof), collected before any test
+# patches the module; epgate.models empties its own (``models.clear_caches``)
+_SPECTRA_CACHES = [fn for fn in vars(spectra).values()
+                   if hasattr(fn, "cache_clear")
+                   and getattr(fn, "__module__", None) == spectra.__name__]
+
+
+def _clear_model_caches():
+    models.clear_caches()
+    for fn in _SPECTRA_CACHES:
+        fn.cache_clear()
 
 
 @contextmanager
@@ -318,13 +323,16 @@ def fresh_model_caches():
     matrix built while a constructor is patched cannot outlive the patch
     inside a cached composite (intertwiner, transition inverses, ...), and
     a ladder proof made before a patch cannot hide it."""
-    for fn in _MODEL_CACHES:
-        fn.cache_clear()
+    _clear_model_caches()
     try:
         yield
     finally:
-        for fn in _MODEL_CACHES:
-            fn.cache_clear()
+        _clear_model_caches()
+
+
+def model_cache_infos() -> dict:
+    """``cache_info()`` of every models lru cache, by function name."""
+    return {fn.__name__: fn.cache_info() for fn in models._CACHES}
 
 
 def gaussian_tridiagonal_char_poly(h: ExactMatrix) -> ExactPolynomial:

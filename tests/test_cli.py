@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from epgate import models, serialize
-from epgate.cli import main
+from epgate.cli import MAX_GRID_POINTS, UsageError, _parse_grid, main
 from epgate.models import ModelId
 from helpers import GOLDEN_Q_BH, fresh_model_caches, perturb_constructor
 
@@ -374,6 +374,28 @@ def test_spectrum_grid_stops_at_its_first_point_outside_the_domain():
                        "-1/4:1000000000:1", timeout=20)
     assert (done.returncode, done.stdout, done.stderr) == (
         2, "", "error: lambda must be >= 0, got -1/4\n")
+
+
+def test_spectrum_grid_above_the_point_limit_is_refused(capsys):
+    # BH has no domain edge, so only the point count bounds its grid
+    code, out, err = run_cli(capsys, "spectrum", "--model", "bh", "--N", "4",
+                             "--grid", "0:100000000000000000000:1")
+    assert (code, out, err) == (
+        2, "", "error: grid '0:100000000000000000000:1' has "
+        "100000000000000000001 points, above the limit of 100000\n")
+
+
+def test_parse_grid_checks_the_start_then_counts_the_points():
+    checked = []
+    with pytest.raises(UsageError, match="above the limit"):
+        _parse_grid("0:100000000000000000000:1", checked.append)
+    assert checked == [0]
+    limit = MAX_GRID_POINTS
+    checked.clear()
+    points = _parse_grid(f"1/2:{limit}/2:1/2", checked.append)
+    assert points == checked == [Fraction(k, 2) for k in range(1, limit + 1)]
+    with pytest.raises(UsageError, match=f"has {limit + 1} points"):
+        _parse_grid(f"0:{limit}:1", lambda p: None)
 
 
 # ---------------------------------------------------------------------------

@@ -162,9 +162,21 @@ def test_rendering_is_deterministic():
 
 
 def test_emit_to_file(tmp_path):
-    target = tmp_path / "matrix.json"
-    serialize.emit(GOLDEN_Q_BH[2], "json", str(target))
-    assert serialize.parse_json(target.read_text()) == GOLDEN_Q_BH[2]
+    # JSON is streamed to the file: the same bytes as the rendered string
+    values = {
+        "matrix": GOLDEN_Q_BH[2],
+        "reports": run_suite([2, 3]),
+        "reports-with-residual": [
+            check_ep_schrodinger(2, ModelId.BH),
+            check_scenario_matching(3, 1, literal_zero_ep=True)],
+        "path-samples": sample_path(2, 4, [Fraction(-1, 8), Fraction(1, 8)]),
+    }
+    for name, value in values.items():
+        target = tmp_path / f"{name}.json"
+        serialize.emit(value, "json", str(target))
+        assert target.read_bytes() == (serialize.render_json(value)
+                                       + "\n").encode(), name
+        assert serialize.parse_json(target.read_text()) == value, name
     target2 = tmp_path / "matrix.txt"
     serialize.emit(GOLDEN_Q_BH[2], "text", str(target2))
     assert target2.read_text() == "-1*I  1\n1  0\n"

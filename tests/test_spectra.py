@@ -31,6 +31,7 @@ from helpers import (
     gaussian_tridiagonal_char_poly,
     is_zero,
     leibniz_char_poly,
+    model_cache_infos,
     perturb_constructor,
     random_radical,
 )
@@ -695,6 +696,22 @@ def test_condition_report_sees_a_patched_transition(monkeypatch):
     patched = {e.family: e.kappa for e in condition_report([3])}
     assert patched["q-bh"] != clean["q-bh"]
     assert patched["s-rc"] == clean["s-rc"]
+
+
+def test_condition_report_holds_one_dimension_at_a_time():
+    # as run_suite: each N from emptied caches; the entries keep their
+    # family-first order
+    models.transition(20, ModelId.BH)
+    entries = condition_report(range(2, 8))
+    after_range = model_cache_infos()
+    separate = [condition_report([n]) for n in range(2, 8)]
+    assert after_range == model_cache_infos()
+    assert after_range["transition"].currsize == 2
+    assert after_range["transition_inverse"].currsize == 2
+    assert after_range["intertwiner_inverse"].currsize == 1
+    families = ["q-bh", "q-ao", "s-rc"]
+    assert entries == sorted((e for part in separate for e in part),
+                             key=lambda e: families.index(e.family))
 
 
 def test_condition_identity_sanity():

@@ -23,6 +23,7 @@ from epgate.verify import (
 from helpers import (
     fresh_model_caches,
     is_zero,
+    model_cache_infos,
     perturb_constructor,
     with_entry,
 )
@@ -429,6 +430,23 @@ def test_run_suite_is_deterministic():
     # check-major then N-major ordering
     keys = [(r.check.value, r.N) for r in a]
     assert keys == sorted(keys, key=lambda kv: ([c.value for c in CheckId].index(kv[0]), kv[1]))
+
+
+def test_run_suite_holds_one_dimension_at_a_time():
+    # every N starts from emptied caches, a caller's warm entry included, so
+    # a range leaves exactly what the last N alone leaves (cache_clear also
+    # resets the hit and miss counts)
+    models.transition(20, ModelId.BH)
+    reports = run_suite(range(2, 8))
+    after_range = model_cache_infos()
+    separate = [run_suite([n]) for n in range(2, 8)]
+    assert after_range == model_cache_infos()
+    assert after_range["transition"].currsize == 2
+    assert after_range["transition_inverse"].currsize == 2
+    assert after_range["_sample_operand"].currsize == 6
+    order = list(CheckId)
+    assert reports == sorted((r for part in separate for r in part),
+                             key=lambda r: (order.index(r.check), r.N))
 
 
 def test_run_suite_empty_checks():
