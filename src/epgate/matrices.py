@@ -2,11 +2,10 @@
 
 Everything here is exact: products, structural inverses, similarity
 transforms by proven inverse pairs, and the Faddeev-LeVerrier characteristic
-polynomial.  Faddeev-LeVerrier is the general dense routine (demos, and the
-tests' reference); no check calls it, since every matrix a check takes a
-characteristic polynomial of is tridiagonal and read by the band
-recurrence in ``spectra``.  The only floating-point bridge is the Frobenius
-norm.
+polynomial: general dense routines (demos, and the tests' references) that
+no check or sample calls, since every characteristic polynomial a check
+takes is read by the band recurrence in ``spectra`` and every transformed
+family is a closed-form pencil.  The only float bridge is the Frobenius norm.
 
 A product is one fused fraction-free dot product per entry (the
 common-denominator idea of Bareiss, applied to a single dot product): integer
@@ -343,8 +342,8 @@ def similarity(h: ExactMatrix, q: ExactMatrix, q_inv: ExactMatrix) -> ExactMatri
     """Exact similarity transform q_inv @ h @ q.
 
     (q, q_inv) must be an exact two-sided inverse pair; it is not re-proven
-    here.  The model pairs are proven by ``verify.check_jordanization``
-    (transition matrices) and ``verify.check_intertwiner_factorization``.
+    here.  It has no src caller (``models.family_pencil`` is closed-form)
+    and stays as a traced name and the tests' reference for the pencils.
     """
     if not (h.is_square and q.is_square and q_inv.is_square):
         raise ShapeError("similarity needs square matrices")

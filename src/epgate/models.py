@@ -39,7 +39,7 @@ from functools import lru_cache
 from enum import Enum
 from math import comb, factorial, gcd
 
-from .matrices import ExactMatrix, similarity
+from .matrices import ExactMatrix
 from .radicals import (GaussianRational, RadicalSum, invert_monomial,
                        squarefree_decompose)
 
@@ -290,6 +290,32 @@ def intertwiner_inverse(n: int) -> ExactMatrix:
 # Similarity-transformed Hamiltonian families
 # ---------------------------------------------------------------------------
 
+# A's and B's (alpha, beta, gamma) per transformed pencil, as (re, im)
+_PENCIL_TABLE = {
+    (ModelId.BH, "transition"): (((0, -1), (1, 0), (2, 0)), ((0, 1), (0, 0), (-2, 0))),
+    (ModelId.AO, "transition"): (((1, 0), (0, 0), (2, 0)), ((-1, 0), (1, 0), (-2, 0))),
+    (ModelId.BH, "intertwiner"): (((-1, 1), (-1, -2), (-1, 0)), ((0, -1), (2, 2), (0, 0))),
+    (ModelId.AO, "intertwiner"): (((-1, 0), (2, -2), (0, 0)), ((1, -1), (-1, 2), (1, 0))),
+}
+
+
+def _kac_band(n: int, frame: str, alpha, beta, gamma) -> ExactMatrix:
+    """Diagonal entry k alpha*(n-1-2k); (k-1, k) and (k, k-1) beta*sqrt(w)
+    and gamma*sqrt(w), w = k(n-k), in the intertwiner frame, beta and
+    gamma*w in the transition frame; each one integer term, or zero."""
+    def entry(c, f, m=1):  # (re + im*i) * f * sqrt(m)
+        return RadicalSum._raw(((m, c[0] * f, c[1] * f, 1),) if f and any(c) else ())
+    rows = [[_ZERO] * n for _ in range(n)]
+    for k in range(n):
+        rows[k][k] = entry(alpha, n - 1 - 2 * k)
+    for k in range(1, n):
+        w = k * (n - k)
+        m, f = squarefree_decompose(w) if frame == "intertwiner" else (1, 1)
+        rows[k - 1][k] = entry(beta, f, m)
+        rows[k][k - 1] = entry(gamma, w if frame == "transition" else f, m)
+    return ExactMatrix._raw(tuple(map(tuple, rows)))
+
+
 def family_pencil(n: int, model: ModelId,
                   frame: str) -> tuple[ExactMatrix, ExactMatrix]:
     """(A, B) with q_inv @ H(p) @ q = A + c(p) * B for every p in the domain.
@@ -297,12 +323,12 @@ def family_pencil(n: int, model: ModelId,
     Both families are affine in one scalar that is 1 at the EP: H_BH(z) =
     H(0) + z*(H_EP - H(0)), so c = z; H_AO(lambda) = D + sqrt(1 - damping) *
     (H_EP - D) with D the diagonal, so c = sqrt(1 - damping) (damping is
-    site-independent, see ``damping``).  A and B are the similarity
-    transforms of the two parts; by linearity and canonical entries, A + c*B
-    is structurally q_inv @ H(p) @ q.  ``frame`` is "identity" (q = I, the
+    site-independent, see ``damping``).  ``frame`` is "identity" (q = I, the
     Hamiltonian from ``jacobi_data`` at the EP parameter), "transition" (the
     family's own EP transition matrix) or "intertwiner" (S, towards the
-    other model's frame).
+    other model's frame).  The last two are Sylvester-Kac-type tridiagonals
+    (M. Kac, Amer. Math. Monthly 54, 1947) read from ``_PENCIL_TABLE``, no
+    other constructor; charpoly-similarity proves them in product form.
     """
     if frame == "identity":
         d, b = jacobi_data(n, model, EP_PARAMETER[model][1])
@@ -314,16 +340,9 @@ def family_pencil(n: int, model: ModelId,
         diagonal = ExactMatrix.diagonal(d)
         return ((couplings, diagonal) if model is ModelId.BH
                 else (diagonal, couplings))
-    if frame == "transition":
-        q, q_inv = transition(n, model), transition_inverse(n, model)
-    else:
-        q, q_inv = intertwiner(n), intertwiner_inverse(n)
-        if model is ModelId.BH:
-            q, q_inv = q_inv, q
-    ep = ep_hamiltonian(n, model)
-    base = (bh_hamiltonian(n, 0) if model is ModelId.BH
-            else ExactMatrix.diagonal(ep[k, k] for k in range(n)))
-    return similarity(base, q, q_inv), similarity(ep - base, q, q_inv)
+    _check_dimension(n)
+    a, b = _PENCIL_TABLE[model, frame]
+    return _kac_band(n, frame, *a), _kac_band(n, frame, *b)
 
 
 @lru_cache(maxsize=None)

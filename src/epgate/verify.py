@@ -92,8 +92,7 @@ def check_ep_schrodinger(n: int, model: ModelId) -> VerificationReport:
     """H_EP @ Q == Q @ J(0), the generalized eigenvalue problem at the
     exceptional point, checked exactly."""
     started = time.perf_counter()
-    check = (CheckId.EP_SCHRODINGER_BH if model is ModelId.BH
-             else CheckId.EP_SCHRODINGER_AO)
+    check = CheckId(f"ep-schrodinger-{model.value}")
     h = models.ep_hamiltonian(n, model)
     q = models.transition(n, model)
     j = models.jordan_block(n, 0)
@@ -104,8 +103,7 @@ def check_jordanization(n: int, model: ModelId) -> VerificationReport:
     """Q^-1 @ H_EP @ Q == J(0) and Q @ Q^-1 == I, exactly; Q is square, so
     a right inverse is two-sided and Q^-1 @ Q == I follows."""
     started = time.perf_counter()
-    check = (CheckId.JORDANIZATION_BH if model is ModelId.BH
-             else CheckId.JORDANIZATION_AO)
+    check = CheckId(f"jordanization-{model.value}")
     h = models.ep_hamiltonian(n, model)
     q = models.transition(n, model)
     q_inv = models.transition_inverse(n, model)
@@ -116,16 +114,17 @@ def check_jordanization(n: int, model: ModelId) -> VerificationReport:
 
 def check_intertwiner_factorization(n: int) -> VerificationReport:
     """The closed-form product diag @ core @ diag equals the transition-matrix
-    route Q_AO @ Q_BH^-1, and S @ S^-1 == I (so S^-1 @ S == I: S is square)."""
+    route Q_AO @ Q_BH^-1, and S @ S^-1 == I (so S^-1 @ S == I: S is square);
+    S^-1 is read only once the product holds, so a faulty core never raises."""
     started = time.perf_counter()
     via_transitions = (models.transition(n, ModelId.AO)
                        @ models.transition_inverse(n, ModelId.BH))
     pre, post = models.intertwiner_factors(n)
-    closed_form = pre @ models.intertwiner_core(n) @ post
-    return _report(CheckId.INTERTWINER_FACTORIZATION, n, (), started,
-                   (via_transitions, closed_form),
-                   (models.intertwiner(n) @ models.intertwiner_inverse(n),
-                    ExactMatrix.identity(n)))
+    pairs = [(via_transitions, pre @ models.intertwiner_core(n) @ post)]
+    if pairs[0][0] == pairs[0][1]:
+        pairs.append((models.intertwiner(n) @ models.intertwiner_inverse(n),
+                      ExactMatrix.identity(n)))
+    return _report(CheckId.INTERTWINER_FACTORIZATION, n, (), started, *pairs)
 
 
 def check_intertwine(n: int) -> VerificationReport:
@@ -173,10 +172,11 @@ def check_charpoly_similarity(n: int, model: ModelId, param,
     """The similarity-transformed Hamiltonian is tridiagonal, and the
     recurrence on its own band equals its family's recurrence read from the
     parameter.  An entry off the band fails the report with the off-band
-    part as the residual.
-
-    ``frame`` is "transition" (conjugation by the EP transition matrix) or
-    "intertwiner" (conjugation by the intertwiner).
+    part as the residual.  Between the two, the pencil (A, B) of
+    ``models.family_pencil`` is proved in product form with no inverse:
+    q @ A == H0 @ q and q @ B == H1 @ q (H0 = H_BH(0) or the AO EP diagonal,
+    H1 = H_EP - H0), so q @ (A + c*B) == H(c) @ q at every c, with q = Q
+    ("transition") or S ("intertwiner"; A @ S == S @ H0 etc. for BH).
     """
     started = time.perf_counter()
     param = models._as_fraction(param)
@@ -186,8 +186,17 @@ def check_charpoly_similarity(n: int, model: ModelId, param,
     params: Params = ((models.EP_PARAMETER[model][0], param),
                       ("frame", Fraction(0 if frame == "transition" else 1)))
     poly, off_band = spectra._tridiagonal_char_poly(transformed)
+    a, b = models.family_pencil(n, model, frame)
+    ep = models.ep_hamiltonian(n, model)
+    h0 = (models.bh_hamiltonian(n, 0) if model is ModelId.BH
+          else ExactMatrix.diagonal(ep[k, k] for k in range(n)))
+    q = (models.transition(n, model) if frame == "transition"
+         else models.intertwiner(n))
+    pencil = (((a @ q, q @ h0), (b @ q, q @ (ep - h0)))
+              if (model, frame) == (ModelId.BH, "intertwiner")
+              else ((q @ a, h0 @ q), (q @ b, (ep - h0) @ q)))
     return _report(CheckId.CHARPOLY_SIMILARITY, n, params, started,
-                   (off_band, ExactMatrix.scalar(n, 0)),
+                   (off_band, ExactMatrix.scalar(n, 0)), *pencil,
                    (poly, spectra.char_poly_tridiagonal(n, model, param)))
 
 

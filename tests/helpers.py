@@ -389,6 +389,25 @@ def similarity_family(name: str, n: int, param) -> ExactMatrix:
     return similarity(h(n, param), q(n), q_inv(n))
 
 
+def dense_pencil(n: int, model: ModelId,
+                 frame: str) -> tuple[ExactMatrix, ExactMatrix]:
+    """Reference transformed pencil: the dense similarity transforms
+    q_inv @ H0 @ q and q_inv @ (H_EP - H0) @ q through
+    ``matrices.similarity``, with H0 = H_BH(0) or the AO EP diagonal, and
+    q = Q in the "transition" frame, S (AO) or S^-1 (BH) in the
+    "intertwiner" frame."""
+    if frame == "transition":
+        q, q_inv = models.transition(n, model), models.transition_inverse(n, model)
+    else:
+        q, q_inv = models.intertwiner(n), models.intertwiner_inverse(n)
+        if model is ModelId.BH:
+            q, q_inv = q_inv, q
+    ep = models.ep_hamiltonian(n, model)
+    base = (models.bh_hamiltonian(n, 0) if model is ModelId.BH
+            else ExactMatrix.diagonal(ep[k, k] for k in range(n)))
+    return similarity(base, q, q_inv), similarity(ep - base, q, q_inv)
+
+
 def jacobi_tridiagonal(model: ModelId, n: int, param) -> ExactMatrix:
     """Reference Hamiltonian, built per sample: the tridiagonal of
     ``models.jacobi_data`` at ``param``, each coupling its own

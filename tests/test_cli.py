@@ -357,14 +357,34 @@ def test_scenario_radicand_that_cannot_be_split_is_refused(row, n, t):
 
 
 def test_structure_error_is_an_error_line_not_a_failed_check(capsys):
-    # a fault below the diagonal of the intertwiner core leaves nothing to
-    # back-substitute: exit 2, since exit 1 means a check ran and failed
+    # a wrong coupling product fails the ladder proof that a spectrum needs:
+    # exit 2, since exit 1 means a check ran and failed
+    original = models.jacobi_data
+
+    def perturbed(n, model, param):
+        d, b = original(n, model, param)
+        return d, [2 * b[0]] + b[1:]
+
+    with fresh_model_caches(), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(models, "jacobi_data", perturbed)
+        code, out, err = run_cli(capsys, "spectrum", "--model", "bh", "--N",
+                                 "4", "--grid", "1/2:1/2:1")
+    assert (code, out) == (2, "")
+    assert err == ("error: bh N=4 at 0: the characteristic polynomial is not "
+                   "the sl(2) ladder with d = 1\n")
+
+
+def test_core_fault_below_the_diagonal_is_a_failed_check(capsys):
+    # S^-1 is read only once the core's product is proved, so a fault below
+    # the core's diagonal is a failed report with its residual: exit 1
     with fresh_model_caches(), pytest.MonkeyPatch.context() as mp:
         mp.setattr(models, "intertwiner_core", perturb_constructor(
             models.intertwiner_core, where=(1, 0)))
         code, out, err = run_cli(capsys, "verify", "--N", "4..4", "--checks",
                                  "intertwiner-factorization")
-    assert (code, out, err) == (2, "", "error: matrix is not upper triangular\n")
+    assert (code, err) == (1, "")
+    assert out.startswith("FAIL  intertwiner-factorization  N=4  [")
+    assert "\n  residual:\n" in out
 
 
 def test_spectrum_grid_stops_at_its_first_point_outside_the_domain():

@@ -1,10 +1,11 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 import epgate
-from epgate import models, scenarios, spectra, verify
+from epgate import matrices, models, scenarios, spectra, verify
 from epgate.matrices import ExactMatrix, ExactPolynomial
 from epgate.models import (
     DimensionError,
@@ -24,6 +25,8 @@ from helpers import (
     REFERENCE_SAMPLES,
     T,
     assert_canonical,
+    dense_pencil,
+    is_zero,
     transpose,
     with_entry,
 )
@@ -303,6 +306,83 @@ def test_frame_swaps_at_the_ep():
     for n in range(2, 7):
         assert models.ao_in_bh_frame(n, 0) == models.bh_hamiltonian(n, 1)
         assert models.bh_in_ao_frame(n, 1) == models.ao_hamiltonian(n, 0)
+
+
+# ---------------------------------------------------------------------------
+# closed-form transformed pencils
+# ---------------------------------------------------------------------------
+
+_TRANSFORMED = [(model, frame) for model in ModelId
+                for frame in ("transition", "intertwiner")]
+_OFF_EP = {ModelId.BH: Fraction(1, 2), ModelId.AO: Fraction(1, 8)}
+
+
+@pytest.mark.parametrize("model, frame", _TRANSFORMED,
+                         ids=lambda v: getattr(v, "value", v))
+def test_pencil_table_is_the_dense_similarity(model, frame):
+    for n in range(2, 21):
+        assert models.family_pencil(n, model, frame) == \
+            dense_pencil(n, model, frame), n
+
+
+@pytest.mark.parametrize("key, matrix, const", [
+    pytest.param(key, matrix, const, id=f"{key[0].value}-{key[1]}-"
+                 f"{'AB'[matrix]}-{('alpha', 'beta', 'gamma')[const]}")
+    for key in models._PENCIL_TABLE for matrix in range(2)
+    for const in range(3)])
+def test_each_table_constant_is_proved(monkeypatch, key, matrix, const):
+    # one of the 24 Gaussian integers shifted by 1 fails the pencil
+    # certificate at its (model, frame): the residual is a matrix pair's,
+    # not the polynomial row
+    model, frame = key
+    rows = [list(r) for r in models._PENCIL_TABLE[key]]
+    re, im = rows[matrix][const]
+    rows[matrix][const] = (re + 1, im)
+    monkeypatch.setitem(models._PENCIL_TABLE, key, tuple(map(tuple, rows)))
+    report = verify.check_charpoly_similarity(4, model, _OFF_EP[model], frame)
+    assert not report.passed
+    assert report.residual.shape == (4, 4)
+    assert not is_zero(report.residual)
+
+
+def test_no_check_or_sample_runs_a_dense_similarity(monkeypatch):
+    original = matrices.similarity
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "epgate" and \
+                getattr(module, "similarity", None) is original:
+            monkeypatch.setattr(module, "similarity", counted)
+    models.clear_caches()
+    assert all(r.passed for r in verify.run_suite(range(2, 13)))
+    models.clear_caches()
+    for row in range(1, 7):
+        for n in (4, 8):
+            scenarios.sample_path(row, n, [Fraction(-1, 8), 0, Fraction(1, 8)])
+    assert calls == []
+
+
+def test_transformed_pencils_read_no_constructor(monkeypatch):
+    expected = {(n, model, frame): models.family_pencil(n, model, frame)
+                for n in range(2, 9) for model, frame in _TRANSFORMED}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a models constructor was read")
+
+    for name, fn in list(vars(models).items()):
+        if (callable(fn) and not isinstance(fn, type)
+                and not name.startswith("_")
+                and getattr(fn, "__module__", None) == models.__name__
+                and name not in ("family_pencil", "clear_caches")):
+            monkeypatch.setattr(models, name, refuse)
+    for (n, model, frame), pencil in expected.items():
+        assert models.family_pencil(n, model, frame) == pencil
+    with pytest.raises(AssertionError):  # the Hamiltonians read jacobi_data
+        models.family_pencil(4, ModelId.BH, "identity")
 
 
 # in-domain parameters per model: the EP, off-EP points, z < 0 for BH, the

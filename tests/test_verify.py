@@ -171,15 +171,36 @@ def test_patched_constructor_does_not_outlive_its_patch():
 
 
 def test_fault_injection_intertwiner_factorization_inverse(monkeypatch):
+    # a wrong S^-1 is a failed report, not an error; no scenario sample and
+    # no pencil certificate reads S^-1, so those reports still pass
     monkeypatch.setattr(models, "intertwiner_inverse",
                         perturb_constructor(models.intertwiner_inverse))
     _assert_detected(check_intertwiner_factorization(4))
+    for row in range(1, 7):
+        _assert_clean_pass(check_scenario_matching(4, row))
+    for model, param in ((ModelId.BH, Fraction(1, 2)),
+                         (ModelId.AO, Fraction(1, 8))):
+        _assert_clean_pass(check_charpoly_similarity(4, model, param,
+                                                     "intertwiner"))
 
 
-def test_wrong_inverse_is_a_failed_report_not_an_error(monkeypatch):
-    monkeypatch.setattr(models, "intertwiner_inverse",
-                        perturb_constructor(models.intertwiner_inverse))
-    _assert_detected(check_scenario_matching(4, 3))
+# A fault below the diagonal of the intertwiner core: S^-1 is read only once
+# the core's product is proved, so nothing raises, every report that reads S
+# fails with its residual, and the others, every scenario row included, pass.
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_core_fault_below_the_diagonal_fails_every_check_reading_s(
+        monkeypatch, n):
+    monkeypatch.setattr(models, "intertwiner_core", perturb_constructor(
+        models.intertwiner_core, where=(1, 0)))
+    for check in CheckId:
+        for report in run_suite([n], [check]):
+            if (check in (CheckId.INTERTWINER_FACTORIZATION,
+                          CheckId.INTERTWINE)
+                    or ("frame", Fraction(1)) in report.parameters):
+                _assert_detected(report)
+            else:
+                _assert_clean_pass(report)
 
 
 def test_fault_injection_intertwine(monkeypatch):
@@ -239,15 +260,16 @@ def test_fault_injection_charpoly_similarity_hamiltonian(monkeypatch, model):
 # Every sample, the Hamiltonians included, is read from the lru-cached
 # ``models._sample_operand``; the conftest fixture empties it before the
 # patch, so the operand is built from the patched constructor and a wrong
-# frame matrix, pencil or tridiagonal data still fails the checks that use
-# it.
+# pencil or tridiagonal data still fails the checks that use it.  A wrong
+# frame matrix (Q or S) fails the pencil certificate of charpoly-similarity.
 
 def test_fault_injection_intertwiner_through_the_pencil(monkeypatch):
     monkeypatch.setattr(models, "intertwiner",
                         perturb_constructor(models.intertwiner))
     _assert_detected(check_charpoly_similarity(4, ModelId.AO, Fraction(1, 8),
                                                "intertwiner"))
-    _assert_detected(check_scenario_matching(4, 1))
+    _assert_detected(check_charpoly_similarity(4, ModelId.BH, Fraction(1, 2),
+                                               "intertwiner"))
 
 
 def test_fault_injection_ao_transition_through_the_pencil(monkeypatch):
