@@ -11,10 +11,9 @@ A product is one fused fraction-free dot product per entry (the
 common-denominator idea of Bareiss, applied to a single dot product): integer
 numerators over a running denominator per radicand, reduced once, at the
 end, into the entry's term tuple.  The kernel reads and writes the scalars'
-own (radicand, re, im, den) terms, with no per-term object; the left
-operand is read once per product, and once for all the products of a
-Faddeev-LeVerrier characteristic polynomial.  Both operands are read as
-their nonzero entries only and the product runs row by row, as in
+own (radicand, re, im, den) terms, with no per-term object; ``@`` is its
+one entry point, Faddeev-LeVerrier's products included.  Both operands are
+read as their nonzero entries only and the product runs row by row, as in
 Gustavson's sparse product (ACM TOMS 4(3), 1978), so a zero entry costs no
 arithmetic and an output entry that no term reaches is the shared zero.
 
@@ -156,7 +155,7 @@ class ExactMatrix:
         if self.n_cols != other.n_rows:
             raise ShapeError(
                 f"cannot multiply {self.shape} by {other.shape}")
-        return _accumulate(_read_rows(self), other)
+        return _accumulate(self, other)
 
     def trace(self) -> RadicalSum:
         if not self.is_square:
@@ -236,20 +235,19 @@ class ExactMatrix:
 
         Uses only ring operations plus division by the integers 1..N, so the
         result stays in the radical field with no growth of the radicand set
-        beyond products of the entries'.
+        beyond products of the entries'.  Its N - 1 products are plain ``@``.
         """
         if not self.is_square:
             raise ShapeError("characteristic polynomial needs a square matrix")
         n = self.n_rows
         coeffs: list[RadicalSum] = [_ZERO] * (n + 1)
         coeffs[n] = _ONE
-        rows = _read_rows(self)  # read once for all n - 1 products
         am = self
         for k in range(1, n + 1):
             c = (-am.trace()) / k
             coeffs[n - k] = c
             if k < n:
-                am = _accumulate(rows, am + ExactMatrix.scalar(n, c))
+                am = self @ (am + ExactMatrix.scalar(n, c))
         return ExactPolynomial(coeffs)
 
     def frobenius_norm(self) -> float:
@@ -266,33 +264,26 @@ class ExactMatrix:
         return f"ExactMatrix({self.n_rows}x{self.n_cols})"
 
 
-def _read_rows(a: ExactMatrix) -> list:
-    """The left operand of a product, read once: each row's nonzero entries
-    as (column, terms) pairs."""
-    return [[(k, e._terms) for k, e in enumerate(row) if e._terms]
-            for row in a._rows]
+def _accumulate(left: ExactMatrix, other: ExactMatrix) -> ExactMatrix:
+    """The product ``left @ other``.
 
-
-def _accumulate(rows: list, other: ExactMatrix) -> ExactMatrix:
-    """The product of a left operand read by ``_read_rows`` with ``other``.
-
-    Row by row (Gustavson): each nonzero a_ik of the row meets the nonzero
-    entries b_kj of row k of ``other``, read once as its nonzero terms, and
-    each term pair adds to the output entry j's running sum, one integer
-    [re, im, den] per radicand: numerators add when denominators match and
-    cross-multiply when they differ.  A pair with radicand 1 on either side
-    keeps the other radicand with no gcd.  Each sum is then reduced by one
-    gcd into the entry's terms, sorted only when it holds more than one
-    radicand; an entry no pair reaches is the shared zero.
+    Row by row (Gustavson): each nonzero a_ik of a row of ``left`` meets the
+    nonzero entries b_kj of row k of ``other``, read once as its nonzero
+    terms, and each term pair adds to the output entry j's running sum, one
+    integer [re, im, den] per radicand: numerators add when denominators
+    match and cross-multiply when they differ.  A pair with radicand 1 on
+    either side keeps the other radicand with no gcd.  Each sum is then
+    reduced by one gcd into the entry's terms, sorted only when it holds
+    more than one radicand; an entry no pair reaches is the shared zero.
     """
     b_rows = [[(j, e._terms) for j, e in enumerate(row) if e._terms]
               for row in other._rows]
     width = len(other._rows[0])
     new = object.__new__
     out = []
-    for row in rows:
+    for row in left._rows:
         sums: dict[int, dict[int, list[int]]] = {}
-        for k, a in row:
+        for k, a in [(k, e._terms) for k, e in enumerate(row) if e._terms]:
             for j, b in b_rows[k]:
                 acc = sums.get(j)
                 if acc is None:

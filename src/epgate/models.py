@@ -6,9 +6,8 @@ asymmetric anharmonic-oscillator chain H_AO(lambda) with its exceptional
 point at lambda = 0 -- together with the Jordan block, the binomial
 (Pascal-triangle) matrix, and the closed-form transition machinery.
 ``checked_parameter`` checks a model's dimension and parameter, from which
-``jacobi_data`` reads the diagonal and coupling products: the exact spectra
-at every parameter, both Hamiltonians' pencils at the EP parameter.  The
-module also holds:
+``jacobi_data`` reads the diagonal and coupling products of the exact
+spectra.  The module also holds:
 
 * ``transition(n, model)``: the matrix Q that carries a family's EP
   Hamiltonian to the nilpotent Jordan block, built as a diagonal * pascal *
@@ -24,10 +23,11 @@ module also holds:
 
 Every sample, Hamiltonian or transformed, is a pencil A + c(p)*B with
 c = z or sqrt(1 - damping(lambda)), built by ``family_pencil`` in its frame
-("identity" for the Hamiltonians).  The pencil is read once per (n, model,
-frame) by ``_sample_operand``, which groups the positions where B is
-nonzero by their exact (A, B) entry pair; ``_sample`` writes a + c*b,
-computed in integers once per group, and shares A's entries elsewhere.
+("identity" for the Hamiltonians) from one row of ``_PENCIL_TABLE``.  The
+pencil is read once per (n, model, frame) by ``_sample_operand``, which
+groups the positions where B is nonzero by their exact (A, B) entry pair;
+``_sample`` writes a + c*b, computed in integers once per group, and
+shares A's entries elsewhere.
 
 All constructors are pure and exact; parameters are exact rationals.
 """
@@ -125,10 +125,10 @@ def jacobi_data(n: int, model: ModelId,
     H[k][k-1] of paired couplings, k = 1..n-1.
 
     BH: d_k = i*(2k - n + 1)*z and b_k = k*(n-k).  AO: d_k = 2k - n + 1 and
-    b_k = -k*(n-k)*(1 - damping), checked by ``checked_parameter``.  Read
-    once at the EP parameter, it gives both Hamiltonians' pencils
-    (``family_pencil``), so a Hamiltonian sample is read from it through a
-    cache; the exact spectra read it at every parameter.
+    b_k = -k*(n-k)*(1 - damping), checked by ``checked_parameter``.  No
+    matrix is built from it: it is the parameter-side reference that
+    ``spectra.char_poly_tridiagonal`` and the ladder proof read, independent
+    of the Hamiltonians' pencils (``family_pencil``).
     """
     c = checked_parameter(n, model, param)
     if model is ModelId.BH:
@@ -287,11 +287,13 @@ def intertwiner_inverse(n: int) -> ExactMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Similarity-transformed Hamiltonian families
+# Pencils and samples: the Hamiltonians and their transformed families
 # ---------------------------------------------------------------------------
 
-# A's and B's (alpha, beta, gamma) per transformed pencil, as (re, im)
+# A's and B's (alpha, beta, gamma) per pencil, as (re, im)
 _PENCIL_TABLE = {
+    (ModelId.BH, "identity"): (((0, 0), (1, 0), (1, 0)), ((0, -1), (0, 0), (0, 0))),
+    (ModelId.AO, "identity"): (((-1, 0), (0, 0), (0, 0)), ((0, 0), (1, 0), (-1, 0))),
     (ModelId.BH, "transition"): (((0, -1), (1, 0), (2, 0)), ((0, 1), (0, 0), (-2, 0))),
     (ModelId.AO, "transition"): (((1, 0), (0, 0), (2, 0)), ((-1, 0), (1, 0), (-2, 0))),
     (ModelId.BH, "intertwiner"): (((-1, 1), (-1, -2), (-1, 0)), ((0, -1), (2, 2), (0, 0))),
@@ -301,8 +303,8 @@ _PENCIL_TABLE = {
 
 def _kac_band(n: int, frame: str, alpha, beta, gamma) -> ExactMatrix:
     """Diagonal entry k alpha*(n-1-2k); (k-1, k) and (k, k-1) beta*sqrt(w)
-    and gamma*sqrt(w), w = k(n-k), in the intertwiner frame, beta and
-    gamma*w in the transition frame; each one integer term, or zero."""
+    and gamma*sqrt(w), w = k(n-k), except in the transition frame: beta
+    and gamma*w there; each one integer term, or zero."""
     def entry(c, f, m=1):  # (re + im*i) * f * sqrt(m)
         return RadicalSum._raw(((m, c[0] * f, c[1] * f, 1),) if f and any(c) else ())
     rows = [[_ZERO] * n for _ in range(n)]
@@ -310,7 +312,7 @@ def _kac_band(n: int, frame: str, alpha, beta, gamma) -> ExactMatrix:
         rows[k][k] = entry(alpha, n - 1 - 2 * k)
     for k in range(1, n):
         w = k * (n - k)
-        m, f = squarefree_decompose(w) if frame == "intertwiner" else (1, 1)
+        m, f = (1, 1) if frame == "transition" else squarefree_decompose(w)
         rows[k - 1][k] = entry(beta, f, m)
         rows[k][k - 1] = entry(gamma, w if frame == "transition" else f, m)
     return ExactMatrix._raw(tuple(map(tuple, rows)))
@@ -324,33 +326,30 @@ def family_pencil(n: int, model: ModelId,
     H(0) + z*(H_EP - H(0)), so c = z; H_AO(lambda) = D + sqrt(1 - damping) *
     (H_EP - D) with D the diagonal, so c = sqrt(1 - damping) (damping is
     site-independent, see ``damping``).  ``frame`` is "identity" (q = I, the
-    Hamiltonian from ``jacobi_data`` at the EP parameter), "transition" (the
-    family's own EP transition matrix) or "intertwiner" (S, towards the
-    other model's frame).  The last two are Sylvester-Kac-type tridiagonals
-    (M. Kac, Amer. Math. Monthly 54, 1947) read from ``_PENCIL_TABLE``, no
-    other constructor; charpoly-similarity proves them in product form.
+    Hamiltonians), "transition" (the family's own EP transition matrix) or
+    "intertwiner" (S, towards the other model's frame).  All six pencils are
+    Sylvester-Kac-type tridiagonals (M. Kac, Amer. Math. Monthly 54, 1947),
+    read from ``_PENCIL_TABLE`` through ``_kac_band`` and no other
+    constructor; charpoly-similarity proves the transformed four in product
+    form against the Hamiltonians.
     """
-    if frame == "identity":
-        d, b = jacobi_data(n, model, EP_PARAMETER[model][1])
-        g = [RadicalSum.sqrt_rational(abs(x)) for x in b]
-        sub = g if model is ModelId.BH else [-x for x in g]
-        couplings = ExactMatrix(
-            [[g[i] if j == i + 1 else sub[j] if i == j + 1 else 0
-              for j in range(n)] for i in range(n)])
-        diagonal = ExactMatrix.diagonal(d)
-        return ((couplings, diagonal) if model is ModelId.BH
-                else (diagonal, couplings))
     _check_dimension(n)
-    a, b = _PENCIL_TABLE[model, frame]
+    try:
+        a, b = _PENCIL_TABLE[model, frame]
+    except KeyError:
+        raise DomainError(
+            f"unknown frame {frame!r}; known frames are 'identity', "
+            f"'transition' and 'intertwiner'") from None
     return _kac_band(n, frame, *a), _kac_band(n, frame, *b)
 
 
 @lru_cache(maxsize=None)
 def _sample_operand(n: int, model: ModelId, frame: str):
-    """``family_pencil`` read once for sampling: A's rows, and the positions
-    where B is nonzero grouped by their (A, B) entry pair (equal entries are
-    equal values).  Each group holds its positions, A's terms keyed by
-    radicand, {m: (m, re, im, den)}, and B's terms."""
+    """``family_pencil`` read once for sampling, for all six sample kinds:
+    A's rows, and the positions where B is nonzero grouped by their (A, B)
+    entry pair (equal entries are equal values; the mirror k <-> n-k of the
+    weights k(n-k) pairs most of them).  Each group holds its positions,
+    A's terms keyed by radicand, {m: (m, re, im, den)}, and B's terms."""
     a, b = family_pencil(n, model, frame)
     groups = {}
     for i, row in enumerate(b.rows()):

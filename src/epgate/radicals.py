@@ -380,31 +380,10 @@ class RadicalSum:
             return other
         if not b:
             return self
-        # merge two ascending term tuples
-        out = []
-        i = j = 0
-        while i < len(a) and j < len(b):
-            x, y = a[i], b[j]
-            if x[0] < y[0]:
-                out.append(x)
-                i += 1
-            elif y[0] < x[0]:
-                out.append(y)
-                j += 1
-            else:
-                m, ar, ai, ad = x
-                _, br, bi, bd = y
-                if ad == bd:
-                    re, im, den = ar + br, ai + bi, ad
-                else:
-                    re, im, den = ar * bd + br * ad, ai * bd + bi * ad, ad * bd
-                if re or im:
-                    out.append(_term(m, re, im, den))
-                i += 1
-                j += 1
-        out += a[i:]
-        out += b[j:]
-        return RadicalSum._raw(tuple(out))
+        acc: dict[int, list[int]] = {}
+        for m, re, im, den in a + b:
+            _add_into(acc, m, re, im, den)
+        return RadicalSum._raw(_canonical(acc))
 
     __radd__ = __add__
 

@@ -27,6 +27,7 @@ from helpers import (
     assert_canonical,
     dense_pencil,
     is_zero,
+    jacobi_tridiagonal,
     transpose,
     with_entry,
 )
@@ -325,24 +326,52 @@ def test_pencil_table_is_the_dense_similarity(model, frame):
             dense_pencil(n, model, frame), n
 
 
+@pytest.mark.parametrize("model", list(ModelId), ids=lambda m: m.value)
+def test_hamiltonian_rows_are_the_jacobi_tridiagonal(model):
+    # the "identity" rows of the table against the Hamiltonians built per
+    # sample from jacobi_data, at the EP and off it
+    ctor = getattr(models, f"{model.value}_hamiltonian")
+    for n in range(2, 21):
+        for p in (models.EP_PARAMETER[model][1], _OFF_EP[model]):
+            assert ctor(n, p) == jacobi_tridiagonal(model, n, p), (n, p)
+
+
 @pytest.mark.parametrize("key, matrix, const", [
     pytest.param(key, matrix, const, id=f"{key[0].value}-{key[1]}-"
                  f"{'AB'[matrix]}-{('alpha', 'beta', 'gamma')[const]}")
     for key in models._PENCIL_TABLE for matrix in range(2)
     for const in range(3)])
 def test_each_table_constant_is_proved(monkeypatch, key, matrix, const):
-    # one of the 24 Gaussian integers shifted by 1 fails the pencil
-    # certificate at its (model, frame): the residual is a matrix pair's,
-    # not the polynomial row
+    # one of the 36 Gaussian integers shifted by 1 fails a matrix pair, not
+    # the polynomial row: the pencil certificate of charpoly-similarity at a
+    # transformed (model, frame), ep-schrodinger at a Hamiltonian's row
     model, frame = key
     rows = [list(r) for r in models._PENCIL_TABLE[key]]
     re, im = rows[matrix][const]
     rows[matrix][const] = (re + 1, im)
     monkeypatch.setitem(models._PENCIL_TABLE, key, tuple(map(tuple, rows)))
-    report = verify.check_charpoly_similarity(4, model, _OFF_EP[model], frame)
+    report = (verify.check_ep_schrodinger(4, model) if frame == "identity"
+              else verify.check_charpoly_similarity(4, model, _OFF_EP[model],
+                                                    frame))
     assert not report.passed
     assert report.residual.shape == (4, 4)
     assert not is_zero(report.residual)
+    if frame != "identity":
+        return
+    # a wrong Hamiltonian fails, and never raises, every check that reads
+    # it: the scenario rows whose interface or side it is (BH 1 and 6, AO
+    # 3 and 4) and the product-form certificate of both frames
+    scenario_rows = (1, 6) if model is ModelId.BH else (3, 4)
+    p = _OFF_EP[model]
+    for n in (3, 4, 6):
+        reports = [verify.check_ep_degeneracy(n, model),
+                   verify.check_jordanization(n, model),
+                   verify.check_intertwine(n)]
+        reports += [verify.check_scenario_matching(n, row)
+                    for row in scenario_rows]
+        reports += [verify.check_charpoly_similarity(n, model, p, f)
+                    for f in ("transition", "intertwiner")]
+        assert not any(r.passed for r in reports), n
 
 
 def test_no_check_or_sample_runs_a_dense_similarity(monkeypatch):
@@ -367,8 +396,9 @@ def test_no_check_or_sample_runs_a_dense_similarity(monkeypatch):
 
 
 def test_transformed_pencils_read_no_constructor(monkeypatch):
+    # all six pencils, the Hamiltonians' included, are table rows
     expected = {(n, model, frame): models.family_pencil(n, model, frame)
-                for n in range(2, 9) for model, frame in _TRANSFORMED}
+                for n in range(2, 9) for model, frame in models._PENCIL_TABLE}
 
     def refuse(*args, **kwargs):
         raise AssertionError("a models constructor was read")
@@ -381,8 +411,15 @@ def test_transformed_pencils_read_no_constructor(monkeypatch):
             monkeypatch.setattr(models, name, refuse)
     for (n, model, frame), pencil in expected.items():
         assert models.family_pencil(n, model, frame) == pencil
-    with pytest.raises(AssertionError):  # the Hamiltonians read jacobi_data
-        models.family_pencil(4, ModelId.BH, "identity")
+
+
+def test_unknown_frame_is_a_domain_error():
+    for call in (lambda: models.family_pencil(4, ModelId.BH, "sideways"),
+                 lambda: models._sample(4, ModelId.AO, "sideways", 0)):
+        with pytest.raises(DomainError, match="unknown frame 'sideways'; "
+                           "known frames are 'identity', 'transition' and "
+                           "'intertwiner'"):
+            call()
 
 
 # in-domain parameters per model: the EP, off-EP points, z < 0 for BH, the

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from epgate import models, scenarios, spectra
-from epgate.matrices import ExactMatrix, ExactPolynomial
+from epgate.matrices import ExactMatrix, ExactPolynomial, StructureError
 from epgate.radicals import RadicalSum
 from epgate.models import DimensionError, DomainError, ModelId
 from epgate.verify import (
@@ -93,8 +93,10 @@ def test_charpoly_similarity_samples():
 
 
 def test_charpoly_similarity_rejects_unknown_frame():
-    with pytest.raises(DomainError):
-        check_charpoly_similarity(3, ModelId.BH, Fraction(1, 2), "sideways")
+    # "identity" is a pencil frame (the Hamiltonians) but no similarity
+    for frame in ("sideways", "identity"):
+        with pytest.raises(DomainError, match=f"^unknown frame '{frame}'$"):
+            check_charpoly_similarity(3, ModelId.BH, Fraction(1, 2), frame)
 
 
 def test_ep_degeneracy_samples():
@@ -259,9 +261,9 @@ def test_fault_injection_charpoly_similarity_hamiltonian(monkeypatch, model):
 
 # Every sample, the Hamiltonians included, is read from the lru-cached
 # ``models._sample_operand``; the conftest fixture empties it before the
-# patch, so the operand is built from the patched constructor and a wrong
-# pencil or tridiagonal data still fails the checks that use it.  A wrong
-# frame matrix (Q or S) fails the pencil certificate of charpoly-similarity.
+# patch, so the operand is built from the patched pencil and a wrong pencil
+# still fails the checks that use it.  A wrong frame matrix (Q or S) fails
+# the pencil certificate of charpoly-similarity.
 
 def test_fault_injection_intertwiner_through_the_pencil(monkeypatch):
     monkeypatch.setattr(models, "intertwiner",
@@ -327,8 +329,9 @@ def test_fault_injection_hamiltonian_pencil(monkeypatch, model):
 
 @pytest.mark.parametrize("model", list(ModelId), ids=lambda m: m.value)
 def test_fault_injection_jacobi_data(monkeypatch, model):
-    # both Hamiltonians are read from jacobi_data at the EP parameter, once
-    # per (N, model), so a wrong coupling product shows in the EP checks
+    # jacobi_data is the parameter side of the exact spectra, built apart
+    # from the Hamiltonians' pencils: a wrong coupling product fails the
+    # polynomial pair of charpoly-similarity and the ladder proof
     original = models.jacobi_data
 
     def perturbed(n, model, param):
@@ -336,8 +339,12 @@ def test_fault_injection_jacobi_data(monkeypatch, model):
         return d, [2 * b[0]] + b[1:]
 
     monkeypatch.setattr(models, "jacobi_data", perturbed)
-    _assert_detected(check_ep_degeneracy(4, model))
-    _assert_detected(check_jordanization(4, model))
+    param = Fraction(1, 2) if model is ModelId.BH else Fraction(1, 8)
+    for n in (3, 4, 6):
+        for frame in ("transition", "intertwiner"):
+            _assert_detected(check_charpoly_similarity(n, model, param, frame))
+        with pytest.raises(StructureError):
+            spectra.certified_spectrum(n, model, param)
 
 
 def test_fault_injection_ep_degeneracy(monkeypatch):
