@@ -36,8 +36,10 @@ assert intertwiner(n) @ bh_hamiltonian(n, 1) == \
     ao_hamiltonian(n, 0) @ intertwiner(n)
 print("S @ H_bh(1) == H_ao(0) @ S exactly")
 
-# And with the exact inverse, the two EP Hamiltonians are exactly similar.
+# S is an involution, so its exact inverse is S itself, and the two EP
+# Hamiltonians are exactly similar.
 s, s_inv = intertwiner(n), intertwiner_inverse(n)
+assert s_inv == s
 assert s @ s_inv == ExactMatrix.identity(n)
 assert s @ bh_hamiltonian(n, 1) @ s_inv == ao_hamiltonian(n, 0)
 print("H_ao(0) == S @ H_bh(1) @ S^-1 exactly")

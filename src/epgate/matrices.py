@@ -19,10 +19,9 @@ arithmetic and an output entry that no term reaches is the shared zero.
 
 Inversion is deliberately structural -- back substitution for triangular
 matrices with monomially invertible diagonals, Gauss-Jordan over Gaussian
-rationals for radical-free matrices.  The model inverses need neither
-general elimination nor Gauss-Jordan: they go through their diagonal
-factorizations, with the Pascal core inverted in closed form
-(``models.pascal_inverse``) and the intertwiner core by back substitution.
+rationals for radical-free matrices.  No model constructor calls either:
+``models`` writes the transition inverses entry by entry in closed form,
+and the intertwiner is its own inverse.
 """
 
 from __future__ import annotations

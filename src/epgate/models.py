@@ -10,14 +10,14 @@ point at lambda = 0 -- together with the Jordan block, the binomial
 spectra.  The module also holds:
 
 * ``transition(n, model)``: the matrix Q that carries a family's EP
-  Hamiltonian to the nilpotent Jordan block, built as a diagonal * pascal *
-  diagonal product whose two diagonals, ``transition_factors(n, model)``,
-  differ between the models only by a phase (i for BH, 1 for AO),
+  Hamiltonian to the nilpotent Jordan block, equal to diagonal * pascal *
+  diagonal (``transition_factors``: the models differ only by a phase, i
+  for BH and 1 for AO), and its inverse ``transition_inverse``,
 * ``intertwiner``: the upper-triangular matrix S with S @ H_BH(1) =
-  H_AO(0) @ S, built as diagonal * core * diagonal with a real
-  square-root-of-binomials core,
-* exact inverses of all three, obtained through the factorizations (the
-  binomial matrix has the closed-form inverse ``pascal_inverse``), and
+  H_AO(0) @ S, equal to diagonal * core * diagonal (``intertwiner_factors``
+  around the real ``intertwiner_core``), and ``intertwiner_inverse``, which
+  is S itself; Q, Q^-1 and S are written entry by entry from the closed
+  forms of these products, each entry one integer monomial c * sqrt(m), and
 * the similarity-transformed Hamiltonian families used by the crossing
   scenarios (Jordan-basis and swapped-frame versions of both models).
 
@@ -40,7 +40,7 @@ from enum import Enum
 from math import comb, factorial, gcd
 
 from .matrices import ExactMatrix
-from .radicals import (GaussianRational, RadicalSum, invert_monomial,
+from .radicals import (GaussianRational, RadicalSum, radicand_product,
                        squarefree_decompose)
 
 _ZERO = RadicalSum()
@@ -179,23 +179,35 @@ def pascal_matrix(n: int) -> ExactMatrix:
         [comb(n - 1 - m, q) for q in range(n)] for m in range(n)])
 
 
-@lru_cache(maxsize=None)
-def pascal_inverse(n: int) -> ExactMatrix:
-    """Closed-form inverse of ``pascal_matrix(n)``: entry (m, q) is
-    (-1)^(m+q-n+1) * C(m, n-1-q)."""
-    if n < 1:
-        raise DimensionError(f"Pascal matrix needs n >= 1, got {n}")
-    return ExactMatrix([
-        [(-1) ** ((m + q - n + 1) % 2) * comb(m, n - 1 - q) for q in range(n)]
-        for m in range(n)])
-
-
 # ---------------------------------------------------------------------------
-# Transition matrices and their factorizations
+# Transition matrices, the intertwiner and their inverses, entry by entry
 # ---------------------------------------------------------------------------
 
-# The phase omega of each model's transition factors.
-_PHASE = {ModelId.BH: GaussianRational(0, 1), ModelId.AO: GaussianRational(1)}
+# i^e as (re, im), indexed by e % 4; each model's omega is i^_PHASE
+_I_POWER = ((1, 0), (0, 1), (-1, 0), (0, -1))
+_PHASE = {ModelId.BH: 1, ModelId.AO: 0}
+
+
+def _entry(c: int, z: tuple[int, int], den: int, *radicands) -> RadicalSum:
+    """z * c/den * sqrt(product of the positive radicands, each split on its
+    own) as one lowest-terms term, or zero; z = (re, im), c ints, den > 0."""
+    m = 1
+    for a in radicands:
+        s, f = squarefree_decompose(a)
+        m, g = radicand_product(m, s)
+        c *= f * g
+    re, im = z[0] * c, z[1] * c
+    g = gcd(re, im, den)
+    out = object.__new__(RadicalSum)
+    out._terms = ((m, re // g, im // g, den // g),) if re or im else ()
+    return out
+
+
+def _entrywise(n: int, entry) -> ExactMatrix:
+    """The n x n matrix of entry(r, c), n >= 2, the shared zero if falsy."""
+    _check_dimension(n)
+    return ExactMatrix._raw(tuple(tuple(entry(r, c) or _ZERO for c in range(n))
+                                  for r in range(n)))
 
 
 @lru_cache(maxsize=None)
@@ -204,23 +216,35 @@ def transition_factors(n: int, model: ModelId) -> tuple[ExactMatrix, ExactMatrix
     omega^k * sqrt(C(n-1, k)) and post (-omega)^(n-1-k) * (n-1-k)!, k = 0..n-1,
     with omega = i for the complex-symmetric model and 1 for the real one."""
     _check_dimension(n)
-    omega = _PHASE[model]
+    e = _PHASE[model]
     pre = ExactMatrix.diagonal(
-        RadicalSum.sqrt_int(comb(n - 1, k)) * RadicalSum.of(omega ** k)
-        for k in range(n))
-    post = ExactMatrix.diagonal(
-        RadicalSum.of((-omega) ** (n - 1 - k) * factorial(n - 1 - k))
-        for k in range(n))
+        _entry(1, _I_POWER[e * k % 4], 1, comb(n - 1, k)) for k in range(n))
+    post = ExactMatrix.diagonal(reversed([
+        _entry(factorial(j), _I_POWER[(e + 2) * j % 4], 1) for j in range(n)]))
     return pre, post
 
 
 @lru_cache(maxsize=None)
 def transition(n: int, model: ModelId) -> ExactMatrix:
-    """Transition matrix of a family at its exceptional point (z = 1 or
-    lambda = 0): pre @ pascal @ post.  Call it as ``transition(n, model)``;
-    a keyword call is a separate cache entry."""
-    pre, post = transition_factors(n, model)
-    return pre @ pascal_matrix(n) @ post
+    """Transition matrix Q of a family at its exceptional point (z = 1 or
+    lambda = 0): (m, q) is omega^m * sqrt(C(n-1, m)) * C(n-1-m, q) *
+    (-omega)^(n-1-q) * (n-1-q)!, zero for q > n-1-m.  Call it as
+    ``transition(n, model)``; a keyword call is a separate cache entry."""
+    e, top = _PHASE[model], n - 1
+    return _entrywise(n, lambda m, q: q <= top - m and _entry(
+        comb(top - m, q) * factorial(top - q),
+        _I_POWER[(e * m + (e + 2) * (top - q)) % 4], 1, comb(top, m)))
+
+
+@lru_cache(maxsize=None)
+def transition_inverse(n: int, model: ModelId) -> ExactMatrix:
+    """Exact inverse of ``transition(n, model)``: (m, q) is (-1)^q *
+    C(m, n-1-q) / (omega^(q+n-1-m) * (n-1-m)! * sqrt(C(n-1, q))), zero for
+    q < n-1-m; (-1)^(m+q-n+1) * C(m, n-1-q) inverts the binomial matrix."""
+    e, top = _PHASE[model], n - 1
+    return _entrywise(n, lambda m, q: q >= top - m and _entry(
+        comb(m, top - q), _I_POWER[(2 * q - e * (q + top - m)) % 4],
+        factorial(top - m) * comb(top, q), comb(top, q)))
 
 
 # The complex unit of the intertwiner factor diagonals.
@@ -240,50 +264,31 @@ def intertwiner_factors(n: int) -> tuple[ExactMatrix, ExactMatrix]:
 
 @lru_cache(maxsize=None)
 def intertwiner_core(n: int) -> ExactMatrix:
-    """Real upper-triangular core with entries sqrt(C(r+q, r) * C(n-1-r, q))
-    at (r, r+q); unit diagonal, binomial square roots above it."""
-    _check_dimension(n)
-    rows = [[_ZERO] * n for _ in range(n)]
-    for r in range(n):
-        for q in range(n - r):
-            rows[r][r + q] = RadicalSum.sqrt_int(comb(r + q, r) * comb(n - 1 - r, q))
-    return ExactMatrix(rows)
+    """Real upper-triangular core with entries sqrt(C(c, r) * C(n-1-r, c-r))
+    at (r, c); unit diagonal, binomial square roots above it."""
+    return _entrywise(n, lambda r, c: c >= r and _entry(
+        1, (1, 0), 1, comb(c, r), comb(n - 1 - r, c - r)))
 
 
 @lru_cache(maxsize=None)
 def intertwiner(n: int) -> ExactMatrix:
     """Upper-triangular matrix S mapping the complex-symmetric EP Hamiltonian
     to the real asymmetric one: S @ bh_hamiltonian(n, 1) =
-    ao_hamiltonian(n, 0) @ S.  Diagonal entries are (-1)^k."""
-    pre, post = intertwiner_factors(n)
-    return pre @ intertwiner_core(n) @ post
-
-
-def _diagonal_inverse(d: ExactMatrix) -> ExactMatrix:
-    return ExactMatrix.diagonal(
-        invert_monomial(d[k, k]) for k in range(d.n_rows))
-
-
-def _factored_inverse(pre: ExactMatrix, core_inverse: ExactMatrix,
-                      post: ExactMatrix) -> ExactMatrix:
-    """Exact inverse of pre @ core @ post with diagonal pre and post:
-    post^-1 @ core^-1 @ pre^-1."""
-    return _diagonal_inverse(post) @ core_inverse @ _diagonal_inverse(pre)
-
-
-@lru_cache(maxsize=None)
-def transition_inverse(n: int, model: ModelId) -> ExactMatrix:
-    """Exact inverse of ``transition(n, model)`` through the factorization."""
-    pre, post = transition_factors(n, model)
-    return _factored_inverse(pre, pascal_inverse(n), post)
+    ao_hamiltonian(n, 0) @ S.  Entry (r, c) is (-1)^c * (1 - i)^(c-r) *
+    sqrt(C(c, r) * C(n-1-r, c-r)), zero for c < r."""
+    p = [(1, 0)]  # (1 - i)^q as (re, im)
+    for _ in range(n - 1):
+        p.append((p[-1][0] + p[-1][1], p[-1][1] - p[-1][0]))
+    return _entrywise(n, lambda r, c: c >= r and _entry(
+        (-1) ** c, p[c - r], 1, comb(c, r), comb(n - 1 - r, c - r)))
 
 
 @lru_cache(maxsize=None)
 def intertwiner_inverse(n: int) -> ExactMatrix:
-    """Exact inverse through the factorization."""
-    pre, post = intertwiner_factors(n)
-    return _factored_inverse(
-        pre, intertwiner_core(n).inverse_upper_triangular(), post)
+    """S^-1 = S: D @ S @ D^-1, D = diag(sqrt(C(n-1, k))), is the symmetric
+    power Sym^(n-1)(g_S) of g_S = [[1, -1+i], [0, -1]] (W. Fulton and J.
+    Harris, *Representation Theory*, GTM 129, Sec. 11), and g_S^2 = I."""
+    return intertwiner(n)
 
 
 # ---------------------------------------------------------------------------
@@ -305,16 +310,13 @@ def _kac_band(n: int, frame: str, alpha, beta, gamma) -> ExactMatrix:
     """Diagonal entry k alpha*(n-1-2k); (k-1, k) and (k, k-1) beta*sqrt(w)
     and gamma*sqrt(w), w = k(n-k), except in the transition frame: beta
     and gamma*w there; each one integer term, or zero."""
-    def entry(c, f, m=1):  # (re + im*i) * f * sqrt(m)
-        return RadicalSum._raw(((m, c[0] * f, c[1] * f, 1),) if f and any(c) else ())
     rows = [[_ZERO] * n for _ in range(n)]
     for k in range(n):
-        rows[k][k] = entry(alpha, n - 1 - 2 * k)
+        rows[k][k] = _entry(n - 1 - 2 * k, alpha, 1)
     for k in range(1, n):
-        w = k * (n - k)
-        m, f = (1, 1) if frame == "transition" else squarefree_decompose(w)
-        rows[k - 1][k] = entry(beta, f, m)
-        rows[k][k - 1] = entry(gamma, w if frame == "transition" else f, m)
+        w, tr = k * (n - k), frame == "transition"
+        rows[k - 1][k] = _entry(1, beta, 1, 1 if tr else w)
+        rows[k][k - 1] = _entry(w if tr else 1, gamma, 1, 1 if tr else w)
     return ExactMatrix._raw(tuple(map(tuple, rows)))
 
 

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from epgate import models, spectra
 from epgate.models import ModelId
 from epgate.matrices import ExactMatrix, ExactPolynomial, similarity
-from epgate.radicals import GaussianRational, RadicalSum, squarefree_decompose
+from epgate.radicals import (GaussianRational, RadicalSum, invert_monomial,
+                             squarefree_decompose)
 
 
 def T(m: int, re, im=0) -> RadicalSum:
@@ -287,6 +288,24 @@ def leibniz_char_poly(m: ExactMatrix) -> list[RadicalSum]:
             poly = _poly_mul(poly, cell)
         total = _poly_add(total, poly)
     return total
+
+
+def pascal_inverse(n: int) -> ExactMatrix:
+    """Reference inverse of ``models.pascal_matrix(n)`` in closed form:
+    entry (m, q) is (-1)^(m+q-n+1) * C(m, n-1-q)."""
+    return ExactMatrix([
+        [(-1) ** ((m + q - n + 1) % 2) * math.comb(m, n - 1 - q)
+         for q in range(n)] for m in range(n)])
+
+
+def factored_inverse(pre: ExactMatrix, core_inverse: ExactMatrix,
+                     post: ExactMatrix) -> ExactMatrix:
+    """Reference inverse of pre @ core @ post with diagonal pre and post:
+    post^-1 @ core^-1 @ pre^-1, each diagonal inverted entry by entry."""
+    def diagonal_inverse(d):
+        return ExactMatrix.diagonal(
+            invert_monomial(d[k, k]) for k in range(d.n_rows))
+    return diagonal_inverse(post) @ core_inverse @ diagonal_inverse(pre)
 
 
 def perturb_constructor(fn, where="corner", delta=1):

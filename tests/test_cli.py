@@ -375,8 +375,8 @@ def test_structure_error_is_an_error_line_not_a_failed_check(capsys):
 
 
 def test_core_fault_below_the_diagonal_is_a_failed_check(capsys):
-    # S^-1 is read only once the core's product is proved, so a fault below
-    # the core's diagonal is a failed report with its residual: exit 1
+    # a fault below the core's diagonal is a failed report with its
+    # residual, not an error: exit 1
     with fresh_model_caches(), pytest.MonkeyPatch.context() as mp:
         mp.setattr(models, "intertwiner_core", perturb_constructor(
             models.intertwiner_core, where=(1, 0)))

@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 from fractions import Fraction
@@ -26,8 +27,10 @@ from helpers import (
     T,
     assert_canonical,
     dense_pencil,
+    factored_inverse,
     is_zero,
     jacobi_tridiagonal,
+    pascal_inverse,
     transpose,
     with_entry,
 )
@@ -211,7 +214,7 @@ def test_pascal_matrix_golden():
 
 def test_pascal_inverse_closed_form_is_gauss_jordan_inverse():
     for n in range(2, 21):
-        assert models.pascal_inverse(n) == models.pascal_matrix(n).inverse_rational()
+        assert pascal_inverse(n) == models.pascal_matrix(n).inverse_rational()
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +292,31 @@ def test_intertwiner_core_inverse_is_sign_conjugation():
 def test_intertwiner_is_an_involution():
     for n in range(2, 21):
         s = models.intertwiner(n)
+        assert s @ s == ExactMatrix.identity(n), n
+
+
+def test_closed_forms_equal_their_factor_routes():
+    # Q, Q^-1 and S are written entry by entry; the diagonal * core *
+    # diagonal products they stand for are the oracles.  Entries are
+    # canonical term tuples, so == compares them term for term.
+    for n in range(2, 41):
+        for model, omega in ((ModelId.BH, GaussianRational(0, 1)),
+                             (ModelId.AO, GaussianRational(1))):
+            pre, post = models.transition_factors(n, model)
+            assert pre == ExactMatrix.diagonal(
+                RadicalSum.sqrt_int(math.comb(n - 1, k)) * omega ** k
+                for k in range(n))
+            assert post == ExactMatrix.diagonal(
+                (-omega) ** (n - 1 - k) * math.factorial(n - 1 - k)
+                for k in range(n))
+            assert models.transition(n, model) == \
+                pre @ models.pascal_matrix(n) @ post, (n, model)
+            assert models.transition_inverse(n, model) == \
+                factored_inverse(pre, pascal_inverse(n), post), (n, model)
+        pre, post = models.intertwiner_factors(n)
+        s = models.intertwiner(n)
+        assert s == pre @ models.intertwiner_core(n) @ post, n
+        assert models.intertwiner_inverse(n) == s, n
         assert s @ s == ExactMatrix.identity(n), n
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from epgate import models, scenarios, spectra
+from epgate import models, scenarios, spectra, verify
 from epgate.matrices import ExactMatrix, ExactPolynomial, StructureError
 from epgate.radicals import RadicalSum
 from epgate.models import DimensionError, DomainError, ModelId
@@ -155,21 +155,31 @@ def test_fault_injection_jordanization_transition_inverse(monkeypatch, model):
 
 @pytest.mark.parametrize("model", list(ModelId), ids=lambda m: m.value)
 def test_fault_injection_pascal_inverse(monkeypatch, model):
-    # both transition inverses are built from the closed-form Pascal inverse
-    monkeypatch.setattr(models, "pascal_inverse",
-                        perturb_constructor(models.pascal_inverse))
-    _assert_detected(check_jordanization(4, model))
+    # both transition inverses carry the Pascal inverse's closed form
+    # (-1)^(m+q-n+1) * C(m, n-1-q) entry by entry: a fault at any entry of
+    # its support, q >= n-1-m, fails the check
+    n = 4
+    clean = models.transition_inverse
+    for m in range(n):
+        for q in range(n - 1 - m, n):
+            monkeypatch.setattr(models, "transition_inverse",
+                                perturb_constructor(clean, where=(m, q)))
+            _assert_detected(check_jordanization(n, model))
 
 
 def test_patched_constructor_does_not_outlive_its_patch():
-    # patched while the caches are cold, intertwiner_core is baked into the
-    # cached S(4); clearing the caches with the undo keeps it out of later
-    # checks (the conftest fixture does this around every monkeypatching test)
+    # patched while the caches are cold, intertwiner is baked into the
+    # cached S^-1(4), which is S itself; clearing the caches with the undo
+    # keeps it out of later checks (the conftest fixture does this around
+    # every monkeypatching test).  The fault sits below the diagonal: at
+    # even N, S @ S^-1 cannot see a corner fault of S.
     with pytest.MonkeyPatch.context() as mp, fresh_model_caches():
-        mp.setattr(models, "intertwiner_core",
-                   perturb_constructor(models.intertwiner_core))
+        mp.setattr(models, "intertwiner",
+                   perturb_constructor(models.intertwiner, where=(1, 0)))
         _assert_detected(check_intertwine(4))
+        _assert_detected(check_intertwiner_factorization(4))
     _assert_clean_pass(check_intertwine(4))
+    _assert_clean_pass(check_intertwiner_factorization(4))
 
 
 def test_fault_injection_intertwiner_factorization_inverse(monkeypatch):
@@ -186,15 +196,29 @@ def test_fault_injection_intertwiner_factorization_inverse(monkeypatch):
                                                      "intertwiner"))
 
 
-# A fault below the diagonal of the intertwiner core: S^-1 is read only once
-# the core's product is proved, so nothing raises, every report that reads S
-# fails with its residual, and the others, every scenario row included, pass.
+# A fault below the diagonal: nothing raises, every report that reads the
+# faulty constructor fails with its residual, and the others, every scenario
+# row included, pass.  S is written entry by entry, so only
+# intertwiner-factorization reads the core.
 
 @pytest.mark.parametrize("n", [3, 4, 6])
-def test_core_fault_below_the_diagonal_fails_every_check_reading_s(
+def test_core_fault_below_the_diagonal_fails_only_the_factorization(
         monkeypatch, n):
     monkeypatch.setattr(models, "intertwiner_core", perturb_constructor(
         models.intertwiner_core, where=(1, 0)))
+    for check in CheckId:
+        for report in run_suite([n], [check]):
+            if check is CheckId.INTERTWINER_FACTORIZATION:
+                _assert_detected(report)
+            else:
+                _assert_clean_pass(report)
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_intertwiner_fault_below_the_diagonal_fails_every_check_reading_s(
+        monkeypatch, n):
+    monkeypatch.setattr(models, "intertwiner", perturb_constructor(
+        models.intertwiner, where=(1, 0)))
     for check in CheckId:
         for report in run_suite([n], [check]):
             if (check in (CheckId.INTERTWINER_FACTORIZATION,
@@ -203,6 +227,77 @@ def test_core_fault_below_the_diagonal_fails_every_check_reading_s(
                 _assert_detected(report)
             else:
                 _assert_clean_pass(report)
+
+
+# The fault model of the transition constructors.  A spy on each
+# constructor and on every check_* of ``verify`` finds which reports read
+# it; a fault at any of four positions must then fail only reports that
+# read it, fail each of them at some position, and never raise.
+
+_FAULT_CONSTRUCTORS = ("transition", "transition_inverse", "intertwiner",
+                       "intertwiner_inverse")
+
+
+def _constructors_read_per_report(n: int) -> dict:
+    """(check, parameters) of each report of ``run_suite([n])`` -> the
+    names in ``_FAULT_CONSTRUCTORS`` that its check called."""
+    reads, current = {}, []
+
+    def spy(fn, name):
+        def wrapper(*args, **kwargs):
+            current[-1].add(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def check_spy(fn):
+        def wrapper(*args, **kwargs):
+            current.append(set())
+            report = fn(*args, **kwargs)
+            reads[report.check, report.parameters] = current.pop()
+            return report
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp, fresh_model_caches():
+        for name in _FAULT_CONSTRUCTORS:
+            mp.setattr(models, name, spy(getattr(models, name), name))
+        for name in [k for k in vars(verify) if k.startswith("check_")]:
+            mp.setattr(verify, name, check_spy(getattr(verify, name)))
+        run_suite([n])
+    return reads
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_every_report_reading_a_transition_constructor_catches_its_fault(n):
+    reads = _constructors_read_per_report(n)
+    assert len(reads) == len(run_suite([n]))
+    # the spy's table, by check; a change to what a check reads shows here
+    assert {name: {check.value for (check, _), names in reads.items()
+                   if name in names}
+            for name in _FAULT_CONSTRUCTORS} == {
+        "transition": {"ep-schrodinger-bh", "ep-schrodinger-ao",
+                       "jordanization-bh", "jordanization-ao",
+                       "intertwiner-factorization", "charpoly-similarity"},
+        "transition_inverse": {"jordanization-bh", "jordanization-ao",
+                               "intertwiner-factorization"},
+        "intertwiner": {"intertwiner-factorization", "intertwine",
+                        "charpoly-similarity"},
+        "intertwiner_inverse": {"intertwiner-factorization"},
+    }
+    for name in _FAULT_CONSTRUCTORS:
+        readers = {key for key, names in reads.items() if name in names}
+        caught = set()
+        for where in ("corner", "diag", (1, 0), (1, 2)):
+            with pytest.MonkeyPatch.context() as mp, fresh_model_caches():
+                mp.setattr(models, name, perturb_constructor(
+                    getattr(models, name), where=where))
+                reports = run_suite([n])
+            failed = {(r.check, r.parameters): r for r in reports
+                      if not r.passed}
+            assert set(failed) <= readers, (name, where)
+            for report in failed.values():
+                _assert_detected(report)
+            caught |= set(failed)
+        assert caught == readers, (name, readers - caught)
 
 
 def test_fault_injection_intertwine(monkeypatch):
