@@ -3,31 +3,30 @@
 Two tridiagonal Hamiltonian families live here -- the complex-symmetric
 Bose-Hubbard chain H_BH(z) with exceptional points at z = +-1 and the real
 asymmetric anharmonic-oscillator chain H_AO(lambda) with its exceptional
-point at lambda = 0 -- together with the Jordan block, the binomial
-(Pascal-triangle) matrix, and the closed-form transition machinery.
-``checked_parameter`` checks a model's dimension and parameter, from which
-``jacobi_data`` reads the diagonal and coupling products of the exact
-spectra.  The module also holds:
+point at lambda = 0 -- with the Jordan block, the binomial (Pascal) matrix
+and the closed-form transition machinery.  ``checked_parameter`` checks a
+model's dimension and parameter, from which ``jacobi_data`` reads the data
+of the exact spectra.  The module also holds:
 
 * ``transition(n, model)``: the matrix Q that carries a family's EP
   Hamiltonian to the nilpotent Jordan block, equal to diagonal * pascal *
-  diagonal (``transition_factors``: the models differ only by a phase, i
-  for BH and 1 for AO), and its inverse ``transition_inverse``,
-* ``intertwiner``: the upper-triangular matrix S with S @ H_BH(1) =
-  H_AO(0) @ S, equal to diagonal * core * diagonal (``intertwiner_factors``
-  around the real ``intertwiner_core``), and ``intertwiner_inverse``, which
-  is S itself; Q, Q^-1 and S are written entry by entry from the closed
-  forms of these products, each entry one integer monomial c * sqrt(m), and
-* the similarity-transformed Hamiltonian families used by the crossing
-  scenarios (Jordan-basis and swapped-frame versions of both models).
+  diagonal (``transition_factors``), and its inverse ``transition_inverse``,
+* ``intertwiner``: the matrix S with S @ H_BH(1) = H_AO(0) @ S, equal to
+  diagonal * core * diagonal (``intertwiner_factors``, ``intertwiner_core``),
+  and ``intertwiner_inverse``, which is S itself; Q, Q^-1 and S are written
+  entry by entry, each entry one integer monomial c * sqrt(m), and
+* the similarity-transformed families of the crossing scenarios.
 
-Every sample, Hamiltonian or transformed, is a pencil A + c(p)*B with
-c = z or sqrt(1 - damping(lambda)), built by ``family_pencil`` in its frame
-("identity" for the Hamiltonians) from one row of ``_PENCIL_TABLE``.  The
-pencil is read once per (n, model, frame) by ``_sample_operand``, which
-groups the positions where B is nonzero by their exact (A, B) entry pair;
-``_sample`` writes a + c*b, computed in integers once per group, and
-shares A's entries elsewhere.
+Every sample is a pencil A + c(p)*B with c = z or sqrt(1 - damping(lambda)),
+built by ``family_pencil`` in its frame ("identity" for the Hamiltonians)
+from one row of ``_PENCIL_TABLE``.  ``_sample_operand`` groups the positions
+where B is nonzero by their (A, B) entry pair; ``_sample`` writes a + c*b
+once per group, in integers, and shares A's entries elsewhere.
+
+Cache policy: a constructor gets an lru cache only if some command reads
+the same result twice within one N.  Five do: ``transition``,
+``transition_inverse``, ``intertwiner``, ``family_pencil`` (read by the
+sampler and by charpoly-similarity) and ``_sample_operand``.
 
 All constructors are pure and exact; parameters are exact rationals.
 """
@@ -169,7 +168,6 @@ def jordan_block(n: int, eta=0) -> ExactMatrix:
         for i in range(n)])
 
 
-@lru_cache(maxsize=None)
 def pascal_matrix(n: int) -> ExactMatrix:
     """Binomial matrix with entry (m, q) = C(n-1-m, q); zero above the
     anti-diagonal, so the last row is (1, 0, ..., 0)."""
@@ -210,7 +208,6 @@ def _entrywise(n: int, entry) -> ExactMatrix:
                                   for r in range(n)))
 
 
-@lru_cache(maxsize=None)
 def transition_factors(n: int, model: ModelId) -> tuple[ExactMatrix, ExactMatrix]:
     """Diagonals (pre, post) with Q = pre @ pascal @ post: pre holds
     omega^k * sqrt(C(n-1, k)) and post (-omega)^(n-1-k) * (n-1-k)!, k = 0..n-1,
@@ -247,22 +244,25 @@ def transition_inverse(n: int, model: ModelId) -> ExactMatrix:
         factorial(top - m) * comb(top, q), comb(top, q)))
 
 
-# The complex unit of the intertwiner factor diagonals.
-_BETA = GaussianRational(-1, 1)
+def _one_minus_i_powers(n: int) -> list[tuple[int, int]]:
+    p = [(1, 0)]  # (1 - i)^q as (re, im), q = 0..n-1
+    for _ in range(n - 1):
+        p.append((p[-1][0] + p[-1][1], p[-1][1] - p[-1][0]))
+    return p
 
 
-@lru_cache(maxsize=None)
 def intertwiner_factors(n: int) -> tuple[ExactMatrix, ExactMatrix]:
     """Diagonals (pre, post) with S = pre @ core @ post: pre holds
-    (1 - i)^(-k) and post (-1 + i)^k, k = 0..n-1."""
+    (1 - i)^(-k) = (1 + i)^k / 2^k and post (-1 + i)^k, k = 0..n-1."""
     _check_dimension(n)
+    p = _one_minus_i_powers(n)
     pre = ExactMatrix.diagonal(
-        RadicalSum.of((-_BETA) ** (-k)) for k in range(n))
-    post = ExactMatrix.diagonal(RadicalSum.of(_BETA ** k) for k in range(n))
+        _entry(1, (re, -im), 2 ** k) for k, (re, im) in enumerate(p))
+    post = ExactMatrix.diagonal(
+        _entry((-1) ** k, z, 1) for k, z in enumerate(p))
     return pre, post
 
 
-@lru_cache(maxsize=None)
 def intertwiner_core(n: int) -> ExactMatrix:
     """Real upper-triangular core with entries sqrt(C(c, r) * C(n-1-r, c-r))
     at (r, c); unit diagonal, binomial square roots above it."""
@@ -276,14 +276,11 @@ def intertwiner(n: int) -> ExactMatrix:
     to the real asymmetric one: S @ bh_hamiltonian(n, 1) =
     ao_hamiltonian(n, 0) @ S.  Entry (r, c) is (-1)^c * (1 - i)^(c-r) *
     sqrt(C(c, r) * C(n-1-r, c-r)), zero for c < r."""
-    p = [(1, 0)]  # (1 - i)^q as (re, im)
-    for _ in range(n - 1):
-        p.append((p[-1][0] + p[-1][1], p[-1][1] - p[-1][0]))
+    p = _one_minus_i_powers(n)
     return _entrywise(n, lambda r, c: c >= r and _entry(
         (-1) ** c, p[c - r], 1, comb(c, r), comb(n - 1 - r, c - r)))
 
 
-@lru_cache(maxsize=None)
 def intertwiner_inverse(n: int) -> ExactMatrix:
     """S^-1 = S: D @ S @ D^-1, D = diag(sqrt(C(n-1, k))), is the symmetric
     power Sym^(n-1)(g_S) of g_S = [[1, -1+i], [0, -1]] (W. Fulton and J.
@@ -320,6 +317,7 @@ def _kac_band(n: int, frame: str, alpha, beta, gamma) -> ExactMatrix:
     return ExactMatrix._raw(tuple(map(tuple, rows)))
 
 
+@lru_cache(maxsize=None)
 def family_pencil(n: int, model: ModelId,
                   frame: str) -> tuple[ExactMatrix, ExactMatrix]:
     """(A, B) with q_inv @ H(p) @ q = A + c(p) * B for every p in the domain.

@@ -113,17 +113,18 @@ def check_jordanization(n: int, model: ModelId) -> VerificationReport:
 
 
 def check_intertwiner_factorization(n: int) -> VerificationReport:
-    """The closed-form product diag @ core @ diag equals the transition-matrix
-    route Q_AO @ Q_BH^-1, and S @ S^-1 == I (so S^-1 @ S == I: S is square),
-    with S^-1 read through ``intertwiner_inverse``, which returns S."""
+    """The closed-form product diag @ core @ diag and S itself equal the
+    route Q_AO @ Q_BH^-1 (only this S pair sees S's sign), and S @ S^-1 == I
+    with S^-1 from ``intertwiner_inverse`` (so S^-1 @ S == I: S is square)."""
     started = time.perf_counter()
     via_transitions = (models.transition(n, ModelId.AO)
                        @ models.transition_inverse(n, ModelId.BH))
     pre, post = models.intertwiner_factors(n)
+    s = models.intertwiner(n)
     return _report(CheckId.INTERTWINER_FACTORIZATION, n, (), started,
                    (via_transitions, pre @ models.intertwiner_core(n) @ post),
-                   (models.intertwiner(n) @ models.intertwiner_inverse(n),
-                    ExactMatrix.identity(n)))
+                   (s @ models.intertwiner_inverse(n), ExactMatrix.identity(n)),
+                   (s, via_transitions))
 
 
 def check_intertwine(n: int) -> VerificationReport:

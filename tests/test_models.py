@@ -314,6 +314,11 @@ def test_closed_forms_equal_their_factor_routes():
             assert models.transition_inverse(n, model) == \
                 factored_inverse(pre, pascal_inverse(n), post), (n, model)
         pre, post = models.intertwiner_factors(n)
+        beta = GaussianRational(-1, 1)
+        assert pre == ExactMatrix.diagonal(
+            RadicalSum.of((-beta) ** -k) for k in range(n))
+        assert post == ExactMatrix.diagonal(
+            RadicalSum.of(beta ** k) for k in range(n))
         s = models.intertwiner(n)
         assert s == pre @ models.intertwiner_core(n) @ post, n
         assert models.intertwiner_inverse(n) == s, n
@@ -427,6 +432,7 @@ def test_transformed_pencils_read_no_constructor(monkeypatch):
     # all six pencils, the Hamiltonians' included, are table rows
     expected = {(n, model, frame): models.family_pencil(n, model, frame)
                 for n in range(2, 9) for model, frame in models._PENCIL_TABLE}
+    models.clear_caches()  # so the loop below builds, not reads the cache
 
     def refuse(*args, **kwargs):
         raise AssertionError("a models constructor was read")
@@ -438,7 +444,9 @@ def test_transformed_pencils_read_no_constructor(monkeypatch):
                 and name not in ("family_pencil", "clear_caches")):
             monkeypatch.setattr(models, name, refuse)
     for (n, model, frame), pencil in expected.items():
+        misses = models.family_pencil.cache_info().misses
         assert models.family_pencil(n, model, frame) == pencil
+        assert models.family_pencil.cache_info().misses == misses + 1
 
 
 def test_unknown_frame_is_a_domain_error():

@@ -708,7 +708,7 @@ def test_condition_report_holds_one_dimension_at_a_time():
     assert after_range == model_cache_infos()
     assert after_range["transition"].currsize == 2
     assert after_range["transition_inverse"].currsize == 2
-    assert after_range["intertwiner_inverse"].currsize == 1
+    assert after_range["intertwiner"].currsize == 1
     families = ["q-bh", "q-ao", "s-rc"]
     assert entries == sorted((e for part in separate for e in part),
                              key=lambda e: families.index(e.family))

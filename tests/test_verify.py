@@ -300,6 +300,44 @@ def test_every_report_reading_a_transition_constructor_catches_its_fault(n):
         assert caught == readers, (name, readers - caught)
 
 
+def _negated(fn):
+    return lambda *args: ExactMatrix.scalar(args[0], 0) - fn(*args)
+
+
+@pytest.mark.parametrize("name", _FAULT_CONSTRUCTORS)
+def test_negated_transition_constructor_fails_a_report(name):
+    # the sign fault: a check homogeneous in a constructor's matrix (S @ S^-1
+    # with S^-1 = S, S @ H = H' @ S) passes it negated, so some report must
+    # compare the matrix itself
+    with pytest.MonkeyPatch.context() as mp, fresh_model_caches():
+        mp.setattr(models, name, _negated(getattr(models, name)))
+        reports = run_suite([3, 4, 6])
+    failed = [r for r in reports if not r.passed]
+    assert failed, name
+    for report in failed:
+        _assert_detected(report)
+
+
+def test_negated_intertwiner_fails_the_factorization_at_every_n():
+    with pytest.MonkeyPatch.context() as mp, fresh_model_caches():
+        mp.setattr(models, "intertwiner", _negated(models.intertwiner))
+        reports = run_suite(range(2, 9), [CheckId.INTERTWINER_FACTORIZATION])
+    assert [r.N for r in reports if not r.passed] == list(range(2, 9))
+
+
+def test_every_models_cache_hits_at_every_n():
+    # the cache policy: a constructor is cached only if a command reads the
+    # same result twice within one N; run_suite empties the caches, with
+    # their statistics, before each N
+    assert sorted(fn.__name__ for fn in models._CACHES) == [
+        "_sample_operand", "family_pencil", "intertwiner", "transition",
+        "transition_inverse"]
+    for n in range(2, 9):
+        run_suite([n])
+        idle = [fn.__name__ for fn in models._CACHES if not fn.cache_info().hits]
+        assert idle == [], n
+
+
 def test_fault_injection_intertwine(monkeypatch):
     monkeypatch.setattr(models, "ao_hamiltonian",
                         perturb_constructor(models.ao_hamiltonian, where=(0, 0)))
