@@ -5,8 +5,9 @@ Bose-Hubbard chain H_BH(z) with exceptional points at z = +-1 and the real
 asymmetric anharmonic-oscillator chain H_AO(lambda) with its exceptional
 point at lambda = 0 -- with the Jordan block, the binomial (Pascal) matrix
 and the closed-form transition machinery.  ``checked_parameter`` checks a
-model's dimension and parameter, from which ``jacobi_data`` reads the data
-of the exact spectra.  The module also holds:
+model's dimension and parameter once per entry point and returns the
+checked value p, z or damping(lambda), from which ``jacobi_data`` reads the
+data of the exact spectra unchecked.  The module also holds:
 
 * ``transition(n, model)``: the matrix Q that carries a family's EP
   Hamiltonian to the nilpotent Jordan block, equal to diagonal * pascal *
@@ -118,22 +119,22 @@ def checked_parameter(n: int, model: ModelId, param) -> Fraction:
 
 
 def jacobi_data(n: int, model: ModelId,
-                param) -> tuple[list[GaussianRational], list[Fraction]]:
-    """The tridiagonal data of a model Hamiltonian, read from its parameter:
-    the diagonal d_k, k = 0..n-1, and the products b_k = H[k-1][k] *
-    H[k][k-1] of paired couplings, k = 1..n-1.
+                p: Fraction) -> tuple[list[GaussianRational], list[Fraction]]:
+    """The tridiagonal data of a model Hamiltonian at the checked value p of
+    ``checked_parameter``: the diagonal d_k, k = 0..n-1, and the products
+    b_k = H[k-1][k] * H[k][k-1] of paired couplings, k = 1..n-1.
 
     BH: d_k = i*(2k - n + 1)*z and b_k = k*(n-k).  AO: d_k = 2k - n + 1 and
-    b_k = -k*(n-k)*(1 - damping), checked by ``checked_parameter``.  No
-    matrix is built from it: it is the parameter-side reference that
-    ``spectra.char_poly_tridiagonal`` and the ladder proof read, independent
-    of the Hamiltonians' pencils (``family_pencil``).
+    b_k = -k*(n-k)*(1 - damping), polynomials in p, so the ladder proof
+    reads them outside the model domain too.  No matrix is built from it:
+    it is the parameter-side reference that ``spectra.char_poly_tridiagonal``
+    and the ladder proof read, independent of the Hamiltonians' pencils
+    (``family_pencil``).
     """
-    c = checked_parameter(n, model, param)
     if model is ModelId.BH:
-        return ([GaussianRational(0, (2 * k - n + 1) * c) for k in range(n)],
+        return ([GaussianRational(0, (2 * k - n + 1) * p) for k in range(n)],
                 [Fraction(k * (n - k)) for k in range(1, n)])
-    scale = 1 - c
+    scale = 1 - p
     return ([GaussianRational(2 * k - n + 1) for k in range(n)],
             [-k * (n - k) * scale for k in range(1, n)])
 

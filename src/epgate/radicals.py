@@ -197,13 +197,6 @@ class GaussianRational:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> "GaussianRational":
-        base = self if k >= 0 else self.reciprocal()
-        out = GaussianRational(1)
-        for _ in range(abs(k)):
-            out = out * base
-        return out
-
     def reciprocal(self) -> "GaussianRational":
         a, b, d = self._re, self._im, self._den
         if not (a or b):

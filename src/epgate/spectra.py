@@ -14,8 +14,8 @@ term is a Gaussian integer, on integer coefficient lists per radicand, with
 one division per coefficient at the end.  It has two readers:
 
 * ``char_poly_tridiagonal`` reads d_k and b_k of a model Hamiltonian from
-  its parameter (``models.jacobi_data``): Gaussian rationals, so every
-  radicand is 1 and neither a matrix nor a radical is built.
+  its checked parameter (``models.jacobi_data``): Gaussian rationals, so
+  every radicand is 1 and neither a matrix nor a radical is built.
 * ``_tridiagonal_char_poly`` reads them from a matrix's own band, for the
   checks that must see what was built -- a similarity-transformed family or
   a constructed EP matrix -- and returns the part off the band beside the
@@ -33,13 +33,16 @@ c = sqrt(1 - damping).  So each polynomial is the ladder
 with d = 1 - z^2 (BH) or d = damping(lambda) (AO), and the exceptional
 point is exactly d = 0.  The ladder's coefficient of E^(N-2j) is
 e_j (-d)^j, with e_j the elementary symmetric sums of the (N-1-2k)^2 from a
-per-N integer table.  That factorization is proved once per (N, model) for
-the whole parameter domain (``_prove_ladder``): the recurrence polynomial
-and the ladder are compared at zero tolerance at one more parameter value
-than their common degree in the parameter.  Every reported spectrum is then
-the ladder at its own d, and its roots are the roundings of
-(N-1-2k) sqrt(d), real exactly when d >= 0, which holds on the whole model
-domain (|z| <= 1, lambda >= 0).
+per-N integer table.  Each entry point (``char_poly_tridiagonal``,
+``certified_spectrum``) checks its parameter once, by
+``models.checked_parameter``, and below it everything reads the checked
+value p: z for BH, damping for AO.  In p both polynomials have degree
+<= D (N for BH, N // 2 for AO), so the factorization is proved once per
+(N, model) for every parameter (``_prove_ladder``) by comparing them at
+zero tolerance at the D + 1 points p = 0..D, in the domain or not.  Every
+reported spectrum is then the ladder at its own d, and its roots are the
+roundings of (N-1-2k) sqrt(d), real exactly when d >= 0, which holds on
+the whole model domain (|z| <= 1, lambda >= 0).
 
 ``find_roots`` (a simultaneous Aberth-Ehrlich iteration from a fixed,
 deterministic circle of starting points, in pure Python) is the independent
@@ -119,9 +122,16 @@ class ConditionEntry:
 
 def char_poly_tridiagonal(n: int, model: ModelId, param) -> ExactPolynomial:
     """Exact monic characteristic polynomial of a model Hamiltonian, by the
-    recurrence on its tridiagonal data read from the parameter
+    recurrence on its tridiagonal data read from the checked parameter
     (``models.jacobi_data``); no matrix is built."""
-    d, b = models.jacobi_data(n, model, param)
+    return _jacobi_char_poly(n, model,
+                             models.checked_parameter(n, model, param))
+
+
+def _jacobi_char_poly(n: int, model: ModelId, p: Fraction) -> ExactPolynomial:
+    """The recurrence on ``models.jacobi_data`` at the checked value p,
+    looked up when called, so a patched one is the one read."""
+    d, b = models.jacobi_data(n, model, p)
     return _recurrence([RadicalSum.of(x).integer_terms() for x in d],
                        [RadicalSum.of(x).integer_terms() for x in b])
 
@@ -236,16 +246,15 @@ def _sorted_roots(z: list[complex]) -> list[complex]:
     return sorted(z, key=lambda r: (r.real, r.imag))
 
 
-def ladder_d(n: int, model: ModelId, param) -> Fraction:
-    """The square d of the ladder step: 1 - z^2 for BH, damping(lambda) for
-    AO; d = 0 exactly at the EP.  n and the parameter are checked by
-    ``models.checked_parameter``: for AO a lambda < 0 or past the domain
-    edge raises."""
-    x = models.checked_parameter(n, model, param)
+def ladder_d(model: ModelId, p: Fraction) -> Fraction:
+    """The square d of the ladder step at the checked value p of
+    ``models.checked_parameter``: 1 - z^2 for BH (p = z), damping(lambda)
+    for AO (p = damping); d = 0 exactly at the EP.  It checks nothing, so
+    the ladder proof can read it outside the model domain."""
     if model is ModelId.AO:
-        return x
-    p, q = x.numerator, x.denominator
-    return Fraction(q * q - p * p, q * q)
+        return p
+    a, q = p.numerator, p.denominator
+    return Fraction(q * q - a * a, q * q)
 
 
 @lru_cache(maxsize=None)
@@ -301,35 +310,24 @@ def ladder_roots(n: int, d: Fraction) -> tuple[complex, ...]:
     return tuple([complex(0.0, y) for y in steps])
 
 
-def _proof_points(n: int, model: ModelId) -> list[Fraction]:
-    """Where ``_prove_ladder`` compares the two polynomials: z = 0..n for
-    BH; lambda = 0 and 1/j, j = 2..n//2 + 1, for AO, whose damping values
-    are distinct and below 1, so each lies in the domain at every n."""
-    if model is ModelId.BH:
-        return [Fraction(z) for z in range(n + 1)]
-    return [Fraction(0)] + [Fraction(1, j) for j in range(2, n // 2 + 2)]
-
-
 @lru_cache(maxsize=None)
 def _prove_ladder(n: int, model: ModelId) -> None:
-    """Prove, for every parameter of the model's domain at once, that the
-    recurrence polynomial (``char_poly_tridiagonal``) is the ladder of
-    ``ladder_d``; a mismatch raises ``StructureError`` and is not cached.
+    """Prove, for every parameter at once, that the recurrence polynomial on
+    ``models.jacobi_data`` is the ladder of ``ladder_d``; a mismatch raises
+    ``StructureError`` and is not cached.
 
-    Each coefficient of the recurrence polynomial is a polynomial in the
-    parameter.  For BH it has degree <= n in z: the diagonal is linear in z
-    and the couplings are constant.  For AO it has degree <= n // 2 in
-    s = 1 - damping: the diagonal is constant, and only the products
-    -k(n-k)s of paired couplings enter, at most n // 2 of them in one term.
-    The ladder's coefficient e_j (-d)^j, j <= n // 2, has the same bounds,
-    with d = 1 - z^2 or d = 1 - s.  Two polynomials of degree <= D that
-    agree at D + 1 points are equal, so agreement at the n + 1 values of z
-    and the n // 2 + 1 distinct values of s of ``_proof_points`` is the
-    identity at every z and every lambda.
+    One rule for both models: each side is a polynomial of degree <= D in
+    the checked value p, with D = n for BH (the diagonal is linear in z,
+    the couplings constant, and d = 1 - z^2 enters as (-d)^j, j <= n // 2)
+    and D = n // 2 for AO (the diagonal is constant, the coupling products
+    -k(n-k)(1 - p) enter at most n // 2 to a term, and d = p).  Two such
+    polynomials that agree at the D + 1 points p = 0..D, in the domain or
+    not, are equal at every z and every lambda.
     """
-    for p in _proof_points(n, model):
-        d = ladder_d(n, model, p)
-        if char_poly_tridiagonal(n, model, p) != ladder_poly(n, d):
+    top = n if model is ModelId.BH else n // 2  # D
+    for p in map(Fraction, range(top + 1)):
+        d = ladder_d(model, p)
+        if _jacobi_char_poly(n, model, p) != ladder_poly(n, d):
             raise StructureError(
                 f"{model.value} N={n} at {p}: the characteristic "
                 f"polynomial is not the sl(2) ladder with d = {d}")
@@ -339,10 +337,10 @@ def certified_spectrum(n: int, model: ModelId, param
                        ) -> tuple[ExactPolynomial, tuple[complex, ...]]:
     """The characteristic polynomial of a model Hamiltonian and its
     closed-form roots: ``ladder_poly`` and ``ladder_roots`` of ``ladder_d``
-    at ``param``, which checks the dimension and the parameter.  The
+    at the parameter checked by ``models.checked_parameter``.  The
     polynomial is the recurrence's by ``_prove_ladder``, run once per
     (n, model); a failed proof raises ``StructureError``."""
-    d = ladder_d(n, model, param)
+    d = ladder_d(model, models.checked_parameter(n, model, param))
     _prove_ladder(n, model)
     return ladder_poly(n, d), ladder_roots(n, d)
 

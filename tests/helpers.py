@@ -28,6 +28,15 @@ def G(re, im=0) -> RadicalSum:
     return RadicalSum.gaussian(Fraction(re), Fraction(im))
 
 
+def gaussian_power(g: GaussianRational, k: int) -> GaussianRational:
+    """g^k by repeated multiplication, by g^-1 for k < 0."""
+    base = g if k >= 0 else g.reciprocal()
+    out = GaussianRational(1)
+    for _ in range(abs(k)):
+        out = out * base
+    return out
+
+
 def M(rows) -> ExactMatrix:
     return ExactMatrix(rows)
 
@@ -429,9 +438,11 @@ def dense_pencil(n: int, model: ModelId,
 
 def jacobi_tridiagonal(model: ModelId, n: int, param) -> ExactMatrix:
     """Reference Hamiltonian, built per sample: the tridiagonal of
-    ``models.jacobi_data`` at ``param``, each coupling its own
-    ``sqrt_rational`` of |b_k|, negated below the diagonal for AO."""
-    d, b = models.jacobi_data(n, model, param)
+    ``models.jacobi_data`` at ``param`` checked by
+    ``models.checked_parameter``, each coupling its own ``sqrt_rational`` of
+    |b_k|, negated below the diagonal for AO."""
+    d, b = models.jacobi_data(n, model,
+                              models.checked_parameter(n, model, param))
     g = [RadicalSum.sqrt_rational(abs(x)) for x in b]
     sub = g if model is ModelId.BH else [-x for x in g]
     return ExactMatrix([[d[i] if i == j else g[i] if j == i + 1

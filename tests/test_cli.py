@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -294,6 +295,18 @@ def test_spectrum_ao_at_a_400_digit_lambda_finishes():
     for (re, im), w in zip(item["roots"], want):
         assert im == 0.0
         assert re == pytest.approx(w, rel=1e-12)
+
+
+def test_spectrum_ao_at_n_200_finishes():
+    # the ladder proof compares at damping = 0..100; at lambda = 1/j inside
+    # the domain its denominators grew like j^(N/2) and N = 200 ran for
+    # minutes
+    done = run_process("spectrum", "--model", "ao", "--N", "200", "--grid",
+                       "1/3:1/3:1", "--format", "json", timeout=30)
+    assert done.returncode == 0, done.stderr
+    (item,) = json.loads(done.stdout)
+    assert len(item["roots"]) == 200
+    assert all(math.isfinite(x) for root in item["roots"] for x in root)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from helpers import (
     assert_canonical,
     dense_pencil,
     factored_inverse,
+    gaussian_power,
     is_zero,
     jacobi_tridiagonal,
     pascal_inverse,
@@ -108,7 +109,8 @@ def test_ao_hamiltonian_domain_errors():
 FLOAT_ENTRY_POINTS = {
     "char_poly_tridiagonal":
         lambda x: spectra.char_poly_tridiagonal(3, ModelId.BH, x),
-    "ladder_d": lambda x: spectra.ladder_d(3, ModelId.BH, x),
+    "certified_spectrum":
+        lambda x: spectra.certified_spectrum(3, ModelId.BH, x),
     "reality_scan": lambda x: spectra.reality_scan(3, ModelId.BH, [x]),
     "degeneracy_scan": lambda x: spectra.degeneracy_scan(3, ModelId.BH, [x]),
     "check_charpoly_similarity":
@@ -304,10 +306,11 @@ def test_closed_forms_equal_their_factor_routes():
                              (ModelId.AO, GaussianRational(1))):
             pre, post = models.transition_factors(n, model)
             assert pre == ExactMatrix.diagonal(
-                RadicalSum.sqrt_int(math.comb(n - 1, k)) * omega ** k
+                RadicalSum.sqrt_int(math.comb(n - 1, k))
+                * gaussian_power(omega, k)
                 for k in range(n))
             assert post == ExactMatrix.diagonal(
-                (-omega) ** (n - 1 - k) * math.factorial(n - 1 - k)
+                gaussian_power(-omega, n - 1 - k) * math.factorial(n - 1 - k)
                 for k in range(n))
             assert models.transition(n, model) == \
                 pre @ models.pascal_matrix(n) @ post, (n, model)
@@ -316,9 +319,9 @@ def test_closed_forms_equal_their_factor_routes():
         pre, post = models.intertwiner_factors(n)
         beta = GaussianRational(-1, 1)
         assert pre == ExactMatrix.diagonal(
-            RadicalSum.of((-beta) ** -k) for k in range(n))
+            RadicalSum.of(gaussian_power(-beta, -k)) for k in range(n))
         assert post == ExactMatrix.diagonal(
-            RadicalSum.of(beta ** k) for k in range(n))
+            RadicalSum.of(gaussian_power(beta, k)) for k in range(n))
         s = models.intertwiner(n)
         assert s == pre @ models.intertwiner_core(n) @ post, n
         assert models.intertwiner_inverse(n) == s, n
@@ -357,6 +360,52 @@ def test_pencil_table_is_the_dense_similarity(model, frame):
     for n in range(2, 21):
         assert models.family_pencil(n, model, frame) == \
             dense_pencil(n, model, frame), n
+
+
+_I = GaussianRational(0, 1)
+# the transition matrices and the intertwiner at N = 2: 2x2 Gaussian-integer
+# matrices g, each with det +-1, whose symmetric powers they are at every N
+_G = {ModelId.BH: ((-_I, 1), (1, 0)), ModelId.AO: ((-1, 1), (-1, 0)),
+      "s": ((1, -1 + _I), (0, -1))}
+
+
+def _mul2(x, y):
+    return tuple(tuple(x[i][0] * y[0][j] + x[i][1] * y[1][j]
+                       for j in range(2)) for i in range(2))
+
+
+def _inv2(g):
+    (a, b), (c, d) = g
+    det = a * d - b * c
+    assert det in (1, -1)
+    return ((d * det, -b * det), (-c * det, a * det))  # 1/det = det
+
+
+def _sl2(row):
+    """[[alpha, beta], [gamma, -alpha]] of a table row (alpha, beta, gamma)."""
+    a, b, c = (GaussianRational(*z) for z in row)
+    return ((a, b), (c, -a))
+
+
+def test_pencil_table_rows_are_2x2_conjugates():
+    # each transformed row of _PENCIL_TABLE, A's and B's, is its model's
+    # identity row conjugated in 2x2 Gaussian integers: g^-1 X g in the
+    # transition frame, g_S X g_S^-1 (BH) or g_S^-1 X g_S (AO) in the
+    # intertwiner frame
+    for key, g in _G.items():
+        got = models.intertwiner(2) if key == "s" else models.transition(2, key)
+        assert got == ExactMatrix(g), key
+        assert _mul2(g, _inv2(g)) == ((1, 0), (0, 1)), key
+    gs, gs_inv = _G["s"], _inv2(_G["s"])
+    for model in ModelId:
+        g, g_inv = _G[model], _inv2(_G[model])
+        s_left, s_right = (gs, gs_inv) if model is ModelId.BH else (gs_inv, gs)
+        for frame, left, right in (("transition", g_inv, g),
+                                   ("intertwiner", s_left, s_right)):
+            for x, y in zip(models._PENCIL_TABLE[model, "identity"],
+                            models._PENCIL_TABLE[model, frame], strict=True):
+                assert _mul2(_mul2(left, _sl2(x)), right) == _sl2(y), \
+                    (model, frame)
 
 
 @pytest.mark.parametrize("model", list(ModelId), ids=lambda m: m.value)

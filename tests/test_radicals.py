@@ -331,8 +331,8 @@ def _parts_of(g):
     return g.re, g.im
 
 
-@given(_gaussian_pairs, _gaussian_pairs, _parts, st.integers(-4, 4))
-def test_triple_arithmetic_matches_fraction_pairs(x, y, q, k):
+@given(_gaussian_pairs, _gaussian_pairs, _parts)
+def test_triple_arithmetic_matches_fraction_pairs(x, y, q):
     g, h = GaussianRational(*x), GaussianRational(*y)
     og, oh, oq = FractionPair(*x), FractionPair(*y), FractionPair(q)
     assert_canonical(g)
@@ -342,10 +342,6 @@ def test_triple_arithmetic_matches_fraction_pairs(x, y, q, k):
              (q - g, oq - og), (g * q, og * oq), (q * g, oq * og)]
     if g:
         cases.append((g.reciprocal(), og.reciprocal()))
-        power = FractionPair(1)
-        for _ in range(abs(k)):
-            power = power * (og if k > 0 else og.reciprocal())
-        cases.append((g ** k, power))
     for got, want in cases:
         assert_canonical(got)
         assert _parts_of(got) == _parts_of(want)
@@ -472,7 +468,7 @@ def test_every_matrix_route_is_canonical(n, model, frame, k):
                 assert_canonical(e)
             assert _same_terms(sample[i, j], reference[i][j])
             assert _same_terms(parsed[i, j], sample[i, j])
-    ladder = spectra.ladder_poly(n, spectra.ladder_d(n, model, param))
+    ladder = spectra.ladder_poly(n, spectra.ladder_d(model, p))
     recurrence = spectra.char_poly_tridiagonal(n, model, param)
     for x, y in zip(ladder.coefficients, recurrence.coefficients,
                     strict=True):

@@ -257,24 +257,26 @@ def test_sample_is_the_recurrence_of_its_family(row):
             model, param = _sampled_family(row, sample.t)
             assert sample.char_poly == \
                 char_poly_tridiagonal(n, model, param), (n, sample.t)
-            assert sample.roots == \
-                ladder_roots(n, ladder_d(n, model, param)), (n, sample.t)
+            assert sample.roots == ladder_roots(n, ladder_d(
+                model, models.checked_parameter(n, model, param))), \
+                (n, sample.t)
 
 
 def test_sample_path_proves_each_ladder_once(monkeypatch):
+    # jacobi_data is read only by the proof on this path: D + 1 reads per
+    # model, D = 8 for BH and 4 for AO, and none once the proofs are cached
     calls = []
-    original = spectra.char_poly_tridiagonal
+    original = models.jacobi_data
 
-    def counted(n, model, param):
+    def counted(n, model, p):
         calls.append((n, model))
-        return original(n, model, param)
+        return original(n, model, p)
 
-    monkeypatch.setattr(spectra, "char_poly_tridiagonal", counted)
+    monkeypatch.setattr(models, "jacobi_data", counted)
     ts = [Fraction(-1, 4), Fraction(0), Fraction(1, 8), Fraction(1, 4)]
     sample_path(2, 8, ts)
     assert sorted(calls, key=str) == sorted(
-        [(8, model) for model in ModelId
-         for _ in spectra._proof_points(8, model)], key=str)
+        [(8, ModelId.BH)] * 9 + [(8, ModelId.AO)] * 5, key=str)
     calls.clear()
     sample_path(2, 8, ts)
     sample_path(5, 8, ts)

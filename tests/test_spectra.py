@@ -173,27 +173,42 @@ def test_band_reader_matches_leibniz_on_random_radical_bands():
     (ModelId.BH, 1, Fraction(1, 2)),
 ], ids=lambda v: getattr(v, "value", str(v)))
 def test_ladder_d_refuses_what_jacobi_data_refuses(model, n, param):
+    # ladder_d and jacobi_data read the checked value unchecked; their entry
+    # points, certified_spectrum and char_poly_tridiagonal, and the
+    # constructors refuse what checked_parameter refuses, with its message
     with pytest.raises(ValueError) as want:
-        models.jacobi_data(n, model, param)
-    with pytest.raises(ValueError) as got:
-        ladder_d(n, model, param)
-    assert type(got.value) is type(want.value)
-    assert str(got.value) == str(want.value)
+        models.checked_parameter(n, model, param)
+    entries = [spectra.certified_spectrum, char_poly_tridiagonal] + [
+        lambda n, model, p, frame=frame: models._sample(n, model, frame, p)
+        for frame in ("identity", "transition", "intertwiner")]
+    for entry in entries:
+        with pytest.raises(ValueError) as got:
+            entry(n, model, param)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
 
 
 def test_ladder_d_edge_messages():
+    # raised by the check at certified_spectrum, the entry point to ladder_d
     with pytest.raises(DomainError, match=r"^lambda must be >= 0, got -1/4$"):
-        ladder_d(4, ModelId.AO, Fraction(-1, 4))
+        spectra.certified_spectrum(4, ModelId.AO, Fraction(-1, 4))
     with pytest.raises(NonPositiveRadicand,
                        match=r"^coupling radicand 0 at row pair \(0,1\); "
                              r"lambda = 1 is outside the model domain$"):
-        ladder_d(3, ModelId.AO, 1)
+        spectra.certified_spectrum(3, ModelId.AO, 1)
+
+
+def _checked_d(n, model, param):
+    return ladder_d(model, models.checked_parameter(n, model, param))
 
 
 def test_ladder_examples():
-    assert ladder_d(5, ModelId.BH, Fraction(1, 2)) == Fraction(3, 4)
-    assert ladder_d(6, ModelId.AO, Fraction(1, 2)) == Fraction(3, 4)
-    assert ladder_d(3, ModelId.AO, Fraction(1, 2)) == Fraction(1, 2)
+    assert _checked_d(5, ModelId.BH, Fraction(1, 2)) == Fraction(3, 4)
+    assert _checked_d(6, ModelId.AO, Fraction(1, 2)) == Fraction(3, 4)
+    assert _checked_d(3, ModelId.AO, Fraction(1, 2)) == Fraction(1, 2)
+    # outside the domain too: z = 3 and damping 2
+    assert ladder_d(ModelId.BH, Fraction(3)) == -8
+    assert ladder_d(ModelId.AO, Fraction(2)) == 2
     # (E^2 - 9d)(E^2 - d) and E(E^2 - 4d)
     assert ladder_poly(4, Fraction(2)) == ExactPolynomial([36, 0, -20, 0, 1])
     assert ladder_poly(3, Fraction(1, 4)) == ExactPolynomial([0, -1, 0, 1])
@@ -271,7 +286,7 @@ def test_ladder_roots_below_the_normal_floats():
     # d = 1 - z^2 ~ 2e-448 rounds to the float 0.0; its roots +-2 sqrt(d)
     # ~ +-2.83e-224 are normal floats and must not collapse to the EP
     z = 1 - Fraction(1, 10 ** 448)
-    d = ladder_d(3, ModelId.BH, z)
+    d = _checked_d(3, ModelId.BH, z)
     assert d > 0 and float(d) == 0.0
     with localcontext() as ctx:
         ctx.prec = 40
@@ -301,20 +316,36 @@ def test_ladder_roots_real_imaginary_and_zero():
                 assert math.copysign(1.0, part) == 1.0 or part != 0
 
 
-def _ao_domain_proof_points(n):
-    return [Fraction(0)] + [Fraction(1, j) for j in range(2, n // 2 + 2)]
+def test_ladder_proof_reads_jacobi_data_at_degree_plus_one_points(
+        monkeypatch):
+    # the proof reads jacobi_data at exactly p = 0..D, D = n for BH and
+    # n // 2 for AO (most of them outside the domain), and a fault in its
+    # data at any single one of those p fails the proof
+    original = models.jacobi_data
+    reads, fault_at = [], []
 
+    def spy(n, model, p):
+        reads.append(p)
+        d, b = original(n, model, p)
+        return (d, [b[0] + 1] + b[1:]) if fault_at == [p] else (d, b)
 
-def test_proof_points_count_degree_plus_one_inside_the_domain():
-    for n in range(2, 41):
-        zs = spectra._proof_points(n, ModelId.BH)
-        assert len(set(zs)) == len(zs) == n + 1
-        lams = spectra._proof_points(n, ModelId.AO)
-        assert lams == _ao_domain_proof_points(n)
-        assert len({models.damping(n, lam) for lam in lams}) == n // 2 + 1
-        for model, points in ((ModelId.BH, zs), (ModelId.AO, lams)):
+    monkeypatch.setattr(models, "jacobi_data", spy)
+    for n in range(2, 13):
+        for model, top in ((ModelId.BH, n), (ModelId.AO, n // 2)):
+            points = [Fraction(p) for p in range(top + 1)]
+            reads.clear()
+            spectra._prove_ladder(n, model)
+            assert reads == points, (n, model)
             for p in points:
-                models.jacobi_data(n, model, p)  # raises outside the domain
+                fault_at[:] = [p]
+                spectra._prove_ladder.cache_clear()
+                with pytest.raises(StructureError, match=f" at {p}: "):
+                    spectra._prove_ladder(n, model)
+            fault_at.clear()
+
+
+def _ao_domain_points(n):
+    return [Fraction(0)] + [Fraction(1, j) for j in range(2, n // 2 + 2)]
 
 
 def test_ladder_holds_on_the_whole_parameter_domain():
@@ -329,12 +360,12 @@ def test_ladder_holds_on_the_whole_parameter_domain():
     for n in range(2, 17):
         for z in range(n + 1):
             assert char_poly_tridiagonal(n, ModelId.BH, z) == \
-                ladder_poly(n, ladder_d(n, ModelId.BH, z)), (n, z)
-        lams = _ao_domain_proof_points(n)
+                ladder_poly(n, _checked_d(n, ModelId.BH, z)), (n, z)
+        lams = _ao_domain_points(n)
         assert len({models.damping(n, lam) for lam in lams}) == n // 2 + 1
         for lam in lams:
             assert char_poly_tridiagonal(n, ModelId.AO, lam) == \
-                ladder_poly(n, ladder_d(n, ModelId.AO, lam)), (n, lam)
+                ladder_poly(n, _checked_d(n, ModelId.AO, lam)), (n, lam)
 
 
 def _sympy_model(sp, n, model, param):
@@ -386,14 +417,14 @@ def test_ladder_poly_and_roots_against_sympy_oracle():
                 p = 1 - (p if k == 1 else sum(p ** j for j in range(1, k)))
             h = _sympy_model(sp, n, model, p)
             cp = sp.Poly(h.charpoly(e).as_expr(), e)
-            ours = ladder_poly(n, ladder_d(n, model, param))
+            ours = ladder_poly(n, _checked_d(n, model, param))
             assert [sp.Rational(str(c.as_gaussian().re))
                     for c in reversed(ours.coefficients)] == cp.all_coeffs()
             assert all(c.as_gaussian().im == 0 for c in ours.coefficients)
             want = sorted((complex(r) for r, mult in sp.roots(cp).items()
                            for _ in range(mult)),
                           key=lambda r: (round(r.real, 9), round(r.imag, 9)))
-            got = ladder_roots(n, ladder_d(n, model, param))
+            got = ladder_roots(n, _checked_d(n, model, param))
             assert len(got) == n
             assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-12, \
                 (n, model, param)
@@ -405,8 +436,7 @@ def test_perturbed_ladder_raises_structure_error(monkeypatch, target):
     if target == "ladder_poly":
         perturbed = lambda n, d: original(n, d) + 1
     else:
-        perturbed = lambda n, model, param: \
-            original(n, model, param) + Fraction(1, 7)
+        perturbed = lambda model, p: original(model, p) + Fraction(1, 7)
     monkeypatch.setattr(spectra, target, perturbed)
     with pytest.raises(StructureError):
         sample_path(1, 4, [Fraction(-1, 4)])
@@ -479,7 +509,7 @@ def test_find_roots_converges_to_the_ladder_at_large_n(n):
     for model, param in cases:
         p = FloatPolynomial.from_exact(char_poly_tridiagonal(n, model, param))
         found = sorted(find_roots(p, tol=1e-10), key=lambda r: r.real)
-        ladder = ladder_roots(n, ladder_d(n, model, param))
+        ladder = ladder_roots(n, _checked_d(n, model, param))
         dev = max(abs(a - b) for a, b in zip(found, ladder))
         assert dev <= 1e-8 * (n - 1), (model, param, dev)
 
