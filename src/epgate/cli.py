@@ -14,6 +14,9 @@ Subcommands:
 Exit codes: 0 when everything requested passed, 1 when some exact check
 failed, 2 on usage or domain errors, a float overflow, or a matrix that
 lacks the structure a construction relies on (``StructureError``).
+``spectrum`` and ``scenario`` write each point's report as it is made, after
+one pass over every point that raises any error a point can raise, so exit 2
+writes nothing.
 Parameters are exact rationals ("3/4"); decimal shorthand is accepted only
 inside ``spectrum --grid`` and is converted by exact base-10 parsing, so
 binary floats never touch the exact layer.
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Iterator
 from fractions import Fraction
 
 from . import models, scenarios, serialize, spectra, verify
@@ -61,17 +65,18 @@ def _parse_n_range(text: str) -> list[int]:
         raise UsageError(f"{text!r} is not an N or N range like 2..6")
 
 
-# A grid is scanned whole before any output, and BH has no domain edge to
-# end it, so its size is bounded up front.  At N = 4, 100 000 points take
-# about 13 s on a 2-core host, peak near 160 MB and print 48 MB of JSON.
+# BH has no domain edge to end a grid, so its size is bounded up front.
+# Every point is checked before the first report is written, and reports are
+# written as they are made: at N = 4, 100 000 points print 48 MB of JSON.
 MAX_GRID_POINTS = 100_000
 
 
-def _parse_grid(text: str, check) -> list[Fraction]:
+def _parse_grid(text: str, check) -> Iterator[Fraction]:
     """The grid's points, each passed to ``check``: the start point first,
     then, once the point count (stop - start) // step + 1 is within
     ``MAX_GRID_POINTS``, the others in order, so a point outside the domain
-    stops the grid before the rest is checked."""
+    stops the grid before the rest is checked.  Returns the points again,
+    made one at a time; no list of them is kept."""
     parts = text.split(":")
     if len(parts) != 3:
         raise UsageError(f"grid must be start:stop:step, got {text!r}")
@@ -85,10 +90,13 @@ def _parse_grid(text: str, check) -> list[Fraction]:
     if count > MAX_GRID_POINTS:
         raise UsageError(f"grid {text!r} has {count} points, above the "
                          f"limit of {MAX_GRID_POINTS}")
-    points = [start + k * step for k in range(count)]
-    for v in points[1:]:
-        check(v)
-    return points
+    # point k, start + k * step, as one Fraction of integers (a + k*c) / den:
+    # a third of the cost of a Fraction product and sum
+    den = start.denominator * step.denominator
+    a, c = int(start * den), int(step * den)
+    for k in range(1, count):
+        check(Fraction(a + k * c, den))
+    return (Fraction(a + k * c, den) for k in range(count))
 
 
 def _parse_t_list(text: str) -> list[Fraction]:
@@ -149,16 +157,19 @@ def _cmd_verify(args) -> int:
 def _cmd_spectrum(args) -> int:
     model = ModelId(args.model)
     grid = _parse_grid(
-        args.grid, lambda p: models.checked_parameter(args.N, model, p))
-    reports = spectra.reality_scan(args.N, model, grid)
-    serialize.emit(reports, args.format, args.out)
+        args.grid, lambda p: spectra.checked_ladder_d(args.N, model, p))
+    serialize.emit(spectra.spectrum_reports(args.N, model, grid),
+                   args.format, args.out)
     return 0
 
 
 def _cmd_scenario(args) -> int:
     t_values = _parse_t_list(args.t)
-    samples = scenarios.sample_path(args.row, args.N, t_values)
-    serialize.emit(samples, args.format, args.out)
+    path = scenarios.scenario_path(args.row, args.N)
+    for t in t_values:
+        scenarios.check_sample(path, t)
+    serialize.emit(scenarios.path_samples(path, t_values),
+                   args.format, args.out)
     return 0
 
 
@@ -243,12 +254,12 @@ def _join_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
     argv = _join_negative_values(list(argv))
     try:
-        args = parser.parse_args(argv)
+        # the parser is not kept: the command's reports reuse its memory
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:

@@ -15,13 +15,14 @@ because every family is continuous in its parameter there.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from . import models, spectra
 from .matrices import ExactMatrix, ExactPolynomial
 from .models import DomainError, ModelId
+from .radicals import RadicalSum
 
 ROW_LABELS = {
     1: "BH to AO-like",
@@ -137,35 +138,53 @@ def scenario_path(row: int, n: int) -> ScenarioPath:
 def hamiltonian_at(row: int, n: int, t) -> ExactMatrix:
     """The scenario Hamiltonian at time t: the left family for t < 0, the
     interface matrix at t = 0, the right family for t > 0."""
-    path, t = scenario_path(row, n), models._as_fraction(t)
-    if t.numerator < 0:
-        return path.left_family(t)
-    if t.numerator > 0:
-        return path.right_family(t)
-    return path.ep_matrix
+    path = scenario_path(row, n)
+    t, side, _, p = _at(path, t)
+    return side(p) if t.numerator else path.ep_matrix
+
+
+def _at(path: ScenarioPath, t) -> tuple[Fraction, Callable, ModelId,
+                                          Fraction]:
+    """(t, side, model, p): t as a Fraction, its side's family (the left
+    side's for t <= 0, the right side's for t > 0), that family's model, and
+    the parameter p that t maps to."""
+    t = models._as_fraction(t)
+    param = path.parametrization
+    name, to_param, side = (
+        (param.left_name, param.left, path.left_side) if t.numerator <= 0
+        else (param.right_name, param.right, path.right_side))
+    return t, side, ModelId.BH if name == "z" else ModelId.AO, to_param(t)
+
+
+def check_sample(path: ScenarioPath, t) -> None:
+    """Raise every error that sampling ``path`` at t can raise, without
+    building the sample: t's side parameter, ``spectra.checked_ladder_d``
+    there and, on an oscillator side, the split of the radicand of the
+    family's scalar sqrt(1 - damping), through the lru-cached
+    ``squarefree_decompose`` that the sample reads it from again."""
+    _, _, model, p = _at(path, t)
+    d = spectra.checked_ladder_d(path.N, model, p)
+    if model is ModelId.AO:  # d is the damping
+        RadicalSum.sqrt_rational(1 - d)
+
+
+def path_samples(path: ScenarioPath, t_values) -> Iterator[PathSample]:
+    """Sample a scenario path at the given times, each sample made when the
+    next one is asked for: exact matrix, exact characteristic polynomial,
+    and its closed-form roots.
+
+    Each t is mapped once to its side's parameter, read by the side's
+    constructor (the interface matrix at t = 0) and by
+    ``spectra.certified_spectrum``: the sl(2) ladder of the family the
+    sample is similar to, with its roots, proved to be the family's
+    polynomial once per (n, model)."""
+    for t in t_values:
+        t, side, model, p = _at(path, t)
+        matrix = side(p) if t.numerator else path.ep_matrix
+        poly, roots = spectra.certified_spectrum(path.N, model, p)
+        yield PathSample(t=t, matrix=matrix, char_poly=poly, roots=roots)
 
 
 def sample_path(row: int, n: int, t_values) -> list[PathSample]:
-    """Sample a scenario at the given times: exact matrix, exact
-    characteristic polynomial, and its closed-form roots per sample.
-
-    Each t is mapped once to its side's parameter (the left side's for
-    t <= 0, the right side's for t > 0), read by the side's constructor (the
-    interface matrix at t = 0) and by ``spectra.certified_spectrum``: the
-    sl(2) ladder of the family the sample is similar to, with its roots,
-    proved to be the family's polynomial once per (n, model)."""
-    path = scenario_path(row, n)
-    param = path.parametrization
-    samples = []
-    for t in t_values:
-        t = models._as_fraction(t)
-        name, to_param, side = (
-            (param.left_name, param.left, path.left_side) if t.numerator <= 0
-            else (param.right_name, param.right, path.right_side))
-        p = to_param(t)
-        matrix = side(p) if t.numerator else path.ep_matrix
-        model = ModelId.BH if name == "z" else ModelId.AO
-        poly, roots = spectra.certified_spectrum(n, model, p)
-        samples.append(PathSample(t=t, matrix=matrix, char_poly=poly,
-                                  roots=roots))
-    return samples
+    """``path_samples`` of the scenario row at dimension n, as a list."""
+    return list(path_samples(scenario_path(row, n), t_values))

@@ -16,8 +16,10 @@ from __future__ import annotations
 import json
 import re
 import sys
-from contextlib import contextmanager
+from collections.abc import Iterator
+from contextlib import nullcontext
 from fractions import Fraction
+from itertools import islice
 
 from .matrices import ExactMatrix, ExactPolynomial
 from .models import ModelId
@@ -141,33 +143,46 @@ def render_json(value) -> str:
 # ---------------------------------------------------------------------------
 
 def emit(value, fmt: str = "text", destination=None) -> None:
-    """Serialize ``value`` and write it to a path (or stdout when
-    destination is None or "-").  Output ends with a newline and is
-    byte-identical for identical inputs.  JSON is streamed to the
-    destination by ``json.dump``, so the whole document is never held as
-    one string; its bytes are ``render_json(value)`` and the newline."""
-    if fmt == "text":
-        payload = render_text(value) + "\n"
-        with _opened(destination) as fh:
-            fh.write(payload)
-    elif fmt == "json":
-        tree = to_jsonable(value)
-        with _opened(destination) as fh:
-            json.dump(tree, fh, indent=2)
-            fh.write("\n")
-    else:
+    """Serialize ``value`` to a path (stdout when destination is None or
+    "-") as ``render_text(value)`` or ``render_json(value)`` and a newline.
+    A list, a tuple or an iterator such as a generator is written one
+    element at a time: a list's JSON by ``json.dump``, which converts each
+    element when it reaches it; otherwise each element as it is made, in
+    text once the first element spans lines (else the separator depends on
+    every element)."""
+    if fmt not in ("text", "json"):
         raise ValueError(f"unknown format {fmt!r}")
+    with (nullcontext(sys.stdout) if destination in (None, "-")
+          else open(destination, "w", encoding="utf-8")) as fh:
+        if fmt == "json" and isinstance(value, list):
+            json.dump(value, fh, indent=2, default=to_jsonable)
+        else:
+            fh.writelines(_chunks(value, fmt))
+        fh.write("\n")
 
 
-@contextmanager
-def _opened(destination):
-    """A path opened for writing, or stdout when destination is None or
-    "-"."""
-    if destination is None or destination == "-":
-        yield sys.stdout
+def _chunks(value, fmt: str):
+    """The rendering of ``value`` in pieces, one element of a sequence per
+    piece; in JSON each element's own dump, its lines indented two spaces,
+    between the separators ``json.dumps(..., indent=2)`` gives a list."""
+    if not isinstance(value, (list, tuple, Iterator)):
+        yield render_text(value) if fmt == "text" else render_json(value)
+        return
+    items = iter(value)
+    if fmt == "json":
+        sep = "[\n  "
+        for v in items:
+            yield sep + render_json(v).replace("\n", "\n  ")
+            sep = ",\n  "
+        yield "[]" if sep == "[\n  " else "\n]"
+        return
+    head = list(islice(items, 1))
+    if head and "\n" in (first := render_text(head[0])):
+        yield first
+        for v in items:
+            yield "\n\n" + render_text(v)
     else:
-        with open(destination, "w", encoding="utf-8") as fh:
-            yield fh
+        yield render_text(head + list(items))
 
 
 # ---------------------------------------------------------------------------

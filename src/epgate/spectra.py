@@ -34,7 +34,7 @@ with d = 1 - z^2 (BH) or d = damping(lambda) (AO), and the exceptional
 point is exactly d = 0.  The ladder's coefficient of E^(N-2j) is
 e_j (-d)^j, with e_j the elementary symmetric sums of the (N-1-2k)^2 from a
 per-N integer table.  Each entry point (``char_poly_tridiagonal``,
-``certified_spectrum``) checks its parameter once, by
+``checked_ladder_d``, ``certified_spectrum``) checks its parameter once, by
 ``models.checked_parameter``, and below it everything reads the checked
 value p: z for BH, damping for AO.  In p both polynomials have degree
 <= D (N for BH, N // 2 for AO), so the factorization is proved once per
@@ -54,6 +54,7 @@ standard library.
 from __future__ import annotations
 
 import cmath
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -293,11 +294,7 @@ def ladder_roots(n: int, d: Fraction) -> tuple[complex, ...]:
     rooted from its numerator and denominator, so it does not round to the
     exceptional point's d = 0."""
     num, den = abs(d.numerator), d.denominator
-    try:
-        size = num / den  # correctly rounded, as float(d) is
-    except OverflowError:
-        raise DomainError("the ladder step sqrt(|d|) overflows a float "
-                          "(|d| > 1.8e308)") from None
+    size = _float_size(d)
     if size >= float_info.min or not num:
         unit = sqrt(size)
     else:
@@ -308,6 +305,16 @@ def ladder_roots(n: int, d: Fraction) -> tuple[complex, ...]:
     if d.numerator >= 0:
         return tuple([complex(x, 0.0) for x in steps])
     return tuple([complex(0.0, y) for y in steps])
+
+
+def _float_size(d: Fraction) -> float:
+    """|d| correctly rounded to a float, as float(d) is; a |d| beyond the
+    float range raises ``DomainError``."""
+    try:
+        return abs(d.numerator) / d.denominator
+    except OverflowError:
+        raise DomainError("the ladder step sqrt(|d|) overflows a float "
+                          "(|d| > 1.8e308)") from None
 
 
 @lru_cache(maxsize=None)
@@ -333,43 +340,55 @@ def _prove_ladder(n: int, model: ModelId) -> None:
                 f"polynomial is not the sl(2) ladder with d = {d}")
 
 
+def checked_ladder_d(n: int, model: ModelId, param) -> Fraction:
+    """``ladder_d`` at the parameter checked by ``models.checked_parameter``,
+    after ``_prove_ladder`` (run once per (n, model); a failed proof raises
+    ``StructureError``) and the float range of |d|: every error that
+    ``certified_spectrum`` can raise at this parameter, raised without
+    building the spectrum."""
+    d = ladder_d(model, models.checked_parameter(n, model, param))
+    _prove_ladder(n, model)
+    _float_size(d)
+    return d
+
+
 def certified_spectrum(n: int, model: ModelId, param
                        ) -> tuple[ExactPolynomial, tuple[complex, ...]]:
     """The characteristic polynomial of a model Hamiltonian and its
-    closed-form roots: ``ladder_poly`` and ``ladder_roots`` of ``ladder_d``
-    at the parameter checked by ``models.checked_parameter``.  The
-    polynomial is the recurrence's by ``_prove_ladder``, run once per
-    (n, model); a failed proof raises ``StructureError``."""
-    d = ladder_d(model, models.checked_parameter(n, model, param))
-    _prove_ladder(n, model)
+    closed-form roots: ``ladder_poly`` and ``ladder_roots`` of
+    ``checked_ladder_d``.  The polynomial is the recurrence's by
+    ``_prove_ladder``."""
+    d = checked_ladder_d(n, model, param)
     return ladder_poly(n, d), ladder_roots(n, d)
 
 
-def _spectrum_report(n: int, model: ModelId,
-                     param: Fraction) -> SpectrumReport:
-    """The gaps are read from the sorted ladder: the widest pair is the two
+def spectrum_reports(n: int, model: ModelId,
+                     params) -> Iterator[SpectrumReport]:
+    """Spectrum reports at the parameters in the order given, each made when
+    the next one is asked for, so a scan of any length holds one report.
+    The gaps are read from the sorted ladder: the widest pair is the two
     ends, the closest is a pair of neighbours."""
-    _, roots = certified_spectrum(n, model, param)
-    return SpectrumReport(
-        N=n, model=model, param=float(param), roots=roots,
-        max_imag=max(abs(r.imag) for r in roots),
-        max_pair_gap=abs(roots[-1] - roots[0]),
-        min_pair_gap=min(abs(b - a) for a, b in zip(roots, roots[1:])))
+    for p in map(models._as_fraction, params):
+        _, roots = certified_spectrum(n, model, p)
+        yield SpectrumReport(
+            N=n, model=model, param=float(p), roots=roots,
+            max_imag=max(abs(r.imag) for r in roots),
+            max_pair_gap=abs(roots[-1] - roots[0]),
+            min_pair_gap=min(abs(b - a) for a, b in zip(roots, roots[1:])))
 
 
 def reality_scan(n: int, model: ModelId, params) -> list[SpectrumReport]:
     """Spectrum reports over a parameter list inside the real-spectrum
     regime; reports come back ordered by parameter value."""
-    fracs = sorted(models._as_fraction(p) for p in params)
-    return [_spectrum_report(n, model, p) for p in fracs]
+    return list(spectrum_reports(
+        n, model, sorted(map(models._as_fraction, params))))
 
 
 def degeneracy_scan(n: int, model: ModelId, params) -> list[SpectrumReport]:
     """Spectrum reports along a parameter sequence approaching the
     exceptional point, in the order given; the max pairwise root gap is the
     quantity expected to shrink."""
-    return [_spectrum_report(n, model, models._as_fraction(p))
-            for p in params]
+    return list(spectrum_reports(n, model, params))
 
 
 # (family, Q, Q^-1), each constructor looked up on ``models`` when called, so

@@ -369,22 +369,73 @@ def test_scenario_radicand_that_cannot_be_split_is_refused(row, n, t):
     assert len(done.stderr.splitlines()) == 1
 
 
-def test_structure_error_is_an_error_line_not_a_failed_check(capsys):
-    # a wrong coupling product fails the ladder proof that a spectrum needs:
-    # exit 2, since exit 1 means a check ran and failed
-    original = models.jacobi_data
-
+def _doubled_first_coupling(original):
     def perturbed(n, model, param):
         d, b = original(n, model, param)
         return d, [2 * b[0]] + b[1:]
+    return perturbed
 
+
+_LADDER_FAULT = ("error: bh N=4 at 0: the characteristic polynomial is not "
+                 "the sl(2) ladder with d = 1\n")
+
+
+def test_structure_error_is_an_error_line_not_a_failed_check(capsys):
+    # a wrong coupling product fails the ladder proof that a spectrum needs:
+    # exit 2, since exit 1 means a check ran and failed
     with fresh_model_caches(), pytest.MonkeyPatch.context() as mp:
-        mp.setattr(models, "jacobi_data", perturbed)
+        mp.setattr(models, "jacobi_data",
+                   _doubled_first_coupling(models.jacobi_data))
         code, out, err = run_cli(capsys, "spectrum", "--model", "bh", "--N",
                                  "4", "--grid", "1/2:1/2:1")
     assert (code, out) == (2, "")
-    assert err == ("error: bh N=4 at 0: the characteristic polynomial is not "
-                   "the sl(2) ladder with d = 1\n")
+    assert err == _LADDER_FAULT
+
+
+def assert_writes_nothing(capsys, tmp_path, argv, message):
+    """``argv`` exits 2 with ``message`` as its one stderr line and writes
+    neither stdout nor its ``--out`` file, in text and in JSON."""
+    target = tmp_path / "out"
+    for fmt in ("text", "json"):
+        for out_args in ([], ["--out", str(target)]):
+            code, out, err = run_cli(capsys, *argv, "--format", fmt,
+                                     *out_args)
+            assert (code, out, err) == (2, "", message)
+            assert not target.exists()
+
+
+# commands whose first point is fine and a later one fails; reports are
+# written as they are made, so each failure must be raised before any is
+_LATE_FAILURES = {
+    "ladder-overflow": (
+        ["spectrum", "--model", "bh", "--N", "3", "--grid", "0:1e200:1e199"],
+        "error: the ladder step sqrt(|d|) overflows a float "
+        "(|d| > 1.8e308)\n"),
+    "domain-edge": (
+        ["spectrum", "--model", "ao", "--N", "2", "--grid", "0:1:1/2"],
+        "error: coupling radicand 0 at row pair (0,1); lambda = 1 is "
+        "outside the model domain\n"),
+    "radicand": (
+        ["scenario", "--row", "2", "--N", "8", "--t", f"-1/8,1/{2 ** 40}"],
+        "error: cannot split a 240-bit radicand into square and squarefree "
+        "parts: a 112-bit cofactor has no prime factor below 2^21\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LATE_FAILURES))
+def test_a_failure_after_the_first_point_writes_nothing(capsys, tmp_path,
+                                                         name):
+    assert_writes_nothing(capsys, tmp_path, *_LATE_FAILURES[name])
+
+
+def test_a_ladder_fault_over_a_grid_writes_nothing(capsys, tmp_path):
+    with fresh_model_caches(), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(models, "jacobi_data",
+                   _doubled_first_coupling(models.jacobi_data))
+        assert_writes_nothing(
+            capsys, tmp_path,
+            ["spectrum", "--model", "bh", "--N", "4", "--grid", "-1:1:1/4"],
+            _LADDER_FAULT)
 
 
 def test_core_fault_below_the_diagonal_is_a_failed_check(capsys):
@@ -426,7 +477,10 @@ def test_parse_grid_checks_the_start_then_counts_the_points():
     limit = MAX_GRID_POINTS
     checked.clear()
     points = _parse_grid(f"1/2:{limit}/2:1/2", checked.append)
-    assert points == checked == [Fraction(k, 2) for k in range(1, limit + 1)]
+    # every point is checked before the points are made again, one at a time
+    assert checked == [Fraction(k, 2) for k in range(1, limit + 1)]
+    assert iter(points) is points
+    assert list(points) == checked
     with pytest.raises(UsageError, match=f"has {limit + 1} points"):
         _parse_grid(f"0:{limit}:1", lambda p: None)
 

@@ -115,6 +115,13 @@ DIGEST_CASES = [
       for fmt in ("text", "json")),
     *(["condition", "--N", "2..8", "--format", fmt]
       for fmt in ("text", "json")),
+    # long outputs, written element by element: 2 000 spectrum reports and
+    # a 64-sample path crossing the interface (t = k/64, k = -32..31)
+    *(["spectrum", "--model", "bh", "--N", "4", "--grid", "0:1999:1",
+       "--format", fmt] for fmt in ("text", "json")),
+    *(["scenario", "--row", "2", "--N", "8",
+       "--t", ",".join(f"{k}/64" for k in range(-32, 32)), "--format", fmt]
+      for fmt in ("text", "json")),
     # error paths: exit code 2 and one message on stderr
     ["gen", "--model", "bh", "--N", "1"],
     ["gen", "--model", "ao", "--N", "4", "--lambda", "-1/2"],

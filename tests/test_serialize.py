@@ -1,5 +1,7 @@
+import io
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -162,24 +164,61 @@ def test_rendering_is_deterministic():
 
 
 def test_emit_to_file(tmp_path):
-    # JSON is streamed to the file: the same bytes as the rendered string
+    # a list is written element by element, a generator of its elements
+    # too: the same bytes as the rendered string
+    passed = check_ep_schrodinger(2, ModelId.BH)
+    failed = check_scenario_matching(3, 1, literal_zero_ep=True)
     values = {
         "matrix": GOLDEN_Q_BH[2],
+        "empty": [],
+        "one-element": [passed],
+        "condition-entries": condition_report([2, 3]),
         "reports": run_suite([2, 3]),
-        "reports-with-residual": [
-            check_ep_schrodinger(2, ModelId.BH),
-            check_scenario_matching(3, 1, literal_zero_ep=True)],
+        # one-line reports with multi-line ones: a blank line between all
+        "reports-with-residual": [passed, failed, passed],
+        "reports-residual-first": [failed, passed],
+        "spectrum-reports": reality_scan(4, ModelId.AO,
+                                         [0, Fraction(1, 8), Fraction(1, 4)]),
         "path-samples": sample_path(2, 4, [Fraction(-1, 8), Fraction(1, 8)]),
     }
     for name, value in values.items():
-        target = tmp_path / f"{name}.json"
-        serialize.emit(value, "json", str(target))
-        assert target.read_bytes() == (serialize.render_json(value)
-                                       + "\n").encode(), name
-        assert serialize.parse_json(target.read_text()) == value, name
-    target2 = tmp_path / "matrix.txt"
-    serialize.emit(GOLDEN_Q_BH[2], "text", str(target2))
-    assert target2.read_text() == "-1*I  1\n1  0\n"
+        for fmt, render in (("json", serialize.render_json),
+                            ("text", serialize.render_text)):
+            want = (render(value) + "\n").encode()
+            target = tmp_path / f"{name}.{fmt}"
+            serialize.emit(value, fmt, str(target))
+            assert target.read_bytes() == want, (name, fmt)
+            if isinstance(value, list):
+                serialize.emit(iter(value), fmt, str(target))
+                assert target.read_bytes() == want, (name, fmt)
+        assert serialize.parse_json(
+            (tmp_path / f"{name}.json").read_text()) == value, name
+    assert (tmp_path / "matrix.text").read_text() == "-1*I  1\n1  0\n"
+    assert (tmp_path / "empty.json").read_text() == "[]\n"
+    assert (tmp_path / "empty.text").read_text() == "\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_emit_writes_each_element_before_the_next_is_made(monkeypatch, fmt):
+    samples = sample_path(2, 4, [Fraction(k, 16) for k in range(-3, 4)])
+    written = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", written)
+
+    def element_text(value):
+        if fmt == "text":
+            return serialize.render_text(value)
+        return serialize.render_json(value).replace("\n", "\n  ")
+
+    def made():
+        for k, sample in enumerate(samples):
+            if k:  # sample k - 1 is on the destination before k is made
+                assert written.getvalue().endswith(
+                    element_text(samples[k - 1]))
+            yield sample
+
+    serialize.emit(made(), fmt)
+    render = serialize.render_json if fmt == "json" else serialize.render_text
+    assert written.getvalue() == render(samples) + "\n"
 
 
 def test_emit_unwritable_destination_raises_ioerror(tmp_path):
