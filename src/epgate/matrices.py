@@ -1,11 +1,11 @@
 """Dense matrices and polynomials over the exact radical field.
 
-Everything here is exact: products, structural inverses, similarity
-transforms by proven inverse pairs, and the Faddeev-LeVerrier characteristic
-polynomial: general dense routines (demos, and the tests' references) that
-no check or sample calls, since every characteristic polynomial a check
-takes is read by the band recurrence in ``spectra`` and every transformed
-family is a closed-form pencil.  The only float bridge is the Frobenius norm.
+Everything here is exact: products, inverses, similarity transforms by
+proven inverse pairs, and the Faddeev-LeVerrier characteristic polynomial:
+general dense routines (demos, and the tests' references) that no check
+or sample calls, since every characteristic polynomial a check takes is
+read by the band recurrence in ``spectra`` and every transformed family is
+a closed-form pencil.  The only float bridge is the Frobenius norm.
 
 A product is one fused fraction-free dot product per entry (the
 common-denominator idea of Bareiss, applied to a single dot product): integer
@@ -17,27 +17,19 @@ read as their nonzero entries only and the product runs row by row, as in
 Gustavson's sparse product (ACM TOMS 4(3), 1978), so a zero entry costs no
 arithmetic and an output entry that no term reaches is the shared zero.
 
-Inversion is deliberately structural -- back substitution for triangular
-matrices with monomially invertible diagonals, Gauss-Jordan over Gaussian
-rationals for radical-free matrices.  No model constructor calls either:
-``models`` writes the transition inverses entry by entry in closed form,
-and the intertwiner is its own inverse.
+Both inverses, of an upper-triangular matrix with a monomial diagonal and
+of a radical-free matrix, are one Gauss-Jordan elimination whose pivots
+are monomials, each inverted by ``radicals.invert_monomial``, the one
+field inverse.  No model constructor calls either: ``models`` writes the
+transition inverses entry by entry in closed form, and the intertwiner is
+its own inverse.
 """
 
 from __future__ import annotations
 
 from math import gcd, sqrt
 
-from .radicals import (
-    DivisionByZero,
-    GaussianRational,
-    MultiTermInverse,
-    RadicalSum,
-    invert_monomial,
-)
-
-_ZERO = RadicalSum()
-_ONE = RadicalSum.of(1)
+from .radicals import ONE, ZERO, MultiTermInverse, RadicalSum, invert_monomial
 
 
 class ShapeError(ValueError):
@@ -77,20 +69,20 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        return cls.scalar(n, _ONE)
+        return cls.scalar(n, ONE)
 
     @classmethod
     def scalar(cls, n: int, value) -> "ExactMatrix":
         v = RadicalSum.of(value)
         return cls._raw(tuple(
-            tuple(v if i == j else _ZERO for j in range(n)) for i in range(n)))
+            tuple(v if i == j else ZERO for j in range(n)) for i in range(n)))
 
     @classmethod
     def diagonal(cls, entries) -> "ExactMatrix":
         entries = [RadicalSum.of(e) for e in entries]
         n = len(entries)
         return cls._raw(tuple(
-            tuple(entries[i] if i == j else _ZERO for j in range(n))
+            tuple(entries[i] if i == j else ZERO for j in range(n))
             for i in range(n)))
 
     # -- inspection ---------------------------------------------------------
@@ -137,7 +129,7 @@ class ExactMatrix:
             return NotImplemented
         self._require_same_shape(other)
         return ExactMatrix._raw(tuple(
-            tuple(a + b for a, b in zip(ra, rb))
+            tuple(a + b if b else a for a, b in zip(ra, rb))
             for ra, rb in zip(self._rows, other._rows)))
 
     def __sub__(self, other) -> "ExactMatrix":
@@ -145,7 +137,7 @@ class ExactMatrix:
             return NotImplemented
         self._require_same_shape(other)
         return ExactMatrix._raw(tuple(
-            tuple(a - b for a, b in zip(ra, rb))
+            tuple(a - b if b else a for a, b in zip(ra, rb))
             for ra, rb in zip(self._rows, other._rows)))
 
     def __matmul__(self, other) -> "ExactMatrix":
@@ -159,73 +151,33 @@ class ExactMatrix:
     def trace(self) -> RadicalSum:
         if not self.is_square:
             raise ShapeError("trace needs a square matrix")
-        acc = _ZERO
+        acc = ZERO
         for i in range(self.n_rows):
             acc = acc + self._rows[i][i]
         return acc
 
-    # -- structural inverses -------------------------------------------------
+    # -- inverses ------------------------------------------------------------
 
     def inverse_upper_triangular(self) -> "ExactMatrix":
-        """Exact inverse of an upper-triangular matrix by back substitution.
-
-        Each diagonal entry must be a monomial c*sqrt(m) with an exact
-        field-level inverse (unit diagonals and +-1 diagonals included).
-        """
+        """Exact inverse of an upper-triangular matrix whose diagonal entries
+        are monomials c*sqrt(m) (unit and +-1 diagonals included): its
+        pivots are its diagonal, with no row swap."""
         if not self.is_square:
             raise StructureError("inverse needs a square matrix")
         n = self.n_rows
         if any(self._rows[i][j] for i in range(n) for j in range(i)):
             raise StructureError("matrix is not upper triangular")
-        try:
-            diag_inv = [invert_monomial(self._rows[i][i]) for i in range(n)]
-        except (DivisionByZero, MultiTermInverse) as exc:
-            raise SingularError(f"diagonal is not monomially invertible: {exc}")
-        cols = [[_ZERO] * n for _ in range(n)]  # cols[j][i] = X[i][j]
-        for j in range(n):
-            col = cols[j]
-            for i in range(j, -1, -1):
-                rhs = _ONE if i == j else _ZERO
-                for k in range(i + 1, j + 1):
-                    aik = self._rows[i][k]
-                    if aik and col[k]:
-                        rhs = rhs - aik * col[k]
-                col[i] = rhs * diag_inv[i]
-        return ExactMatrix._raw(tuple(
-            tuple(cols[j][i] for j in range(n)) for i in range(n)))
+        return _gauss_jordan(self._rows)
 
     def inverse_rational(self) -> "ExactMatrix":
-        """Exact inverse of a radical-free matrix by Gauss-Jordan elimination
-        over the Gaussian rationals."""
+        """Exact inverse of a radical-free matrix, whose every nonzero entry
+        is a monomial, so any nonzero pivot inverts."""
         if not self.is_square:
             raise StructureError("inverse needs a square matrix")
-        n = self.n_rows
-        try:
-            a = [[self._rows[i][j].as_gaussian() for j in range(n)]
-                 for i in range(n)]
-        except ValueError:
+        if any(t[0] != 1 for row in self._rows for e in row for t in e._terms):
             raise StructureError("matrix has radical entries; use the "
                                  "factorized inversion route")
-        x = [[GaussianRational(1) if i == j else GaussianRational(0)
-              for j in range(n)] for i in range(n)]
-        for col in range(n):
-            pivot_row = next((r for r in range(col, n) if a[r][col]), None)
-            if pivot_row is None:
-                raise SingularError(f"no pivot in column {col}")
-            if pivot_row != col:
-                a[col], a[pivot_row] = a[pivot_row], a[col]
-                x[col], x[pivot_row] = x[pivot_row], x[col]
-            inv = a[col][col].reciprocal()
-            a[col] = [v * inv for v in a[col]]
-            x[col] = [v * inv for v in x[col]]
-            for r in range(n):
-                if r == col or not a[r][col]:
-                    continue
-                factor = a[r][col]
-                a[r] = [v - factor * w for v, w in zip(a[r], a[col])]
-                x[r] = [v - factor * w for v, w in zip(x[r], x[col])]
-        return ExactMatrix._raw(tuple(
-            tuple(RadicalSum.of(v) for v in row) for row in x))
+        return _gauss_jordan(self._rows)
 
     # -- spectral data -------------------------------------------------------
 
@@ -239,8 +191,8 @@ class ExactMatrix:
         if not self.is_square:
             raise ShapeError("characteristic polynomial needs a square matrix")
         n = self.n_rows
-        coeffs: list[RadicalSum] = [_ZERO] * (n + 1)
-        coeffs[n] = _ONE
+        coeffs: list[RadicalSum] = [ZERO] * (n + 1)
+        coeffs[n] = ONE
         am = self
         for k in range(1, n + 1):
             c = (-am.trace()) / k
@@ -261,6 +213,33 @@ class ExactMatrix:
 
     def __repr__(self) -> str:
         return f"ExactMatrix({self.n_rows}x{self.n_cols})"
+
+
+def _gauss_jordan(rows) -> ExactMatrix:
+    """The inverse of a square matrix by Gauss-Jordan elimination in the
+    radical field.  Each pivot is the first nonzero entry at or below the
+    diagonal, swapped up and inverted by ``invert_monomial``; a column with
+    no such entry, or a pivot of more than one term, raises SingularError."""
+    n = len(rows)
+    a = [list(r) for r in rows]
+    x = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    for col in range(n):
+        p = next((r for r in range(col, n) if a[r][col]), None)
+        if p is None:
+            raise SingularError(f"no pivot in column {col}")
+        a[col], a[p], x[col], x[p] = a[p], a[col], x[p], x[col]
+        try:
+            inv = invert_monomial(a[col][col])
+        except MultiTermInverse as exc:
+            raise SingularError(f"pivot in column {col}: {exc}") from None
+        a[col] = [v * inv for v in a[col]]
+        x[col] = [v * inv for v in x[col]]
+        for r in range(n):
+            f = a[r][col]
+            if r != col and f:
+                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
+                x[r] = [v - f * w for v, w in zip(x[r], x[col])]
+    return ExactMatrix._raw(tuple(map(tuple, x)))
 
 
 def _accumulate(left: ExactMatrix, other: ExactMatrix) -> ExactMatrix:
@@ -311,7 +290,7 @@ def _accumulate(left: ExactMatrix, other: ExactMatrix) -> ExactMatrix:
                             s[0] = s[0] * den + re * s[2]
                             s[1] = s[1] * den + im * s[2]
                             s[2] *= den
-        out_row = [_ZERO] * width
+        out_row = [ZERO] * width
         for j, acc in sums.items():
             terms = []
             for m, (re, im, den) in acc.items():
@@ -356,7 +335,7 @@ class ExactPolynomial:
         while len(coeffs) > 1 and not coeffs[-1]:
             coeffs.pop()
         if not coeffs:
-            coeffs = [_ZERO]
+            coeffs = [ZERO]
         self._coeffs = tuple(coeffs)
 
     @classmethod
@@ -369,7 +348,7 @@ class ExactPolynomial:
     @classmethod
     def power(cls, n: int) -> "ExactPolynomial":
         """The monic monomial E**n."""
-        return cls([_ZERO] * n + [_ONE])
+        return cls([ZERO] * n + [ONE])
 
     @property
     def coefficients(self) -> tuple[RadicalSum, ...]:
@@ -381,7 +360,7 @@ class ExactPolynomial:
 
     @property
     def is_monic(self) -> bool:
-        return self._coeffs[-1] == _ONE
+        return self._coeffs[-1] == ONE
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactPolynomial):

@@ -40,10 +40,8 @@ from enum import Enum
 from math import comb, factorial, gcd
 
 from .matrices import ExactMatrix
-from .radicals import (GaussianRational, RadicalSum, radicand_product,
-                       squarefree_decompose)
-
-_ZERO = RadicalSum()
+from .radicals import (ONE, ZERO, GaussianRational, RadicalSum,
+                       radicand_product, squarefree_decompose)
 
 
 class DimensionError(ValueError):
@@ -163,10 +161,9 @@ def jordan_block(n: int, eta=0) -> ExactMatrix:
     if n < 1:
         raise DimensionError(f"Jordan block needs n >= 1, got {n}")
     eta = RadicalSum.of(eta)
-    one = RadicalSum.of(1)
-    return ExactMatrix([
-        [eta if i == j else one if j == i + 1 else _ZERO for j in range(n)]
-        for i in range(n)])
+    return ExactMatrix._raw(tuple(
+        tuple(eta if i == j else ONE if j == i + 1 else ZERO for j in range(n))
+        for i in range(n)))
 
 
 def pascal_matrix(n: int) -> ExactMatrix:
@@ -189,23 +186,26 @@ _PHASE = {ModelId.BH: 1, ModelId.AO: 0}
 
 def _entry(c: int, z: tuple[int, int], den: int, *radicands) -> RadicalSum:
     """z * c/den * sqrt(product of the positive radicands, each split on its
-    own) as one lowest-terms term, or zero; z = (re, im), c ints, den > 0."""
+    own) as one lowest-terms term, or the shared zero; z = (re, im), c ints,
+    den > 0."""
     m = 1
     for a in radicands:
         s, f = squarefree_decompose(a)
         m, g = radicand_product(m, s)
         c *= f * g
     re, im = z[0] * c, z[1] * c
+    if not (re or im):
+        return ZERO
     g = gcd(re, im, den)
     out = object.__new__(RadicalSum)
-    out._terms = ((m, re // g, im // g, den // g),) if re or im else ()
+    out._terms = ((m, re // g, im // g, den // g),)
     return out
 
 
 def _entrywise(n: int, entry) -> ExactMatrix:
     """The n x n matrix of entry(r, c), n >= 2, the shared zero if falsy."""
     _check_dimension(n)
-    return ExactMatrix._raw(tuple(tuple(entry(r, c) or _ZERO for c in range(n))
+    return ExactMatrix._raw(tuple(tuple(entry(r, c) or ZERO for c in range(n))
                                   for r in range(n)))
 
 
@@ -308,7 +308,7 @@ def _kac_band(n: int, frame: str, alpha, beta, gamma) -> ExactMatrix:
     """Diagonal entry k alpha*(n-1-2k); (k-1, k) and (k, k-1) beta*sqrt(w)
     and gamma*sqrt(w), w = k(n-k), except in the transition frame: beta
     and gamma*w there; each one integer term, or zero."""
-    rows = [[_ZERO] * n for _ in range(n)]
+    rows = [[ZERO] * n for _ in range(n)]
     for k in range(n):
         rows[k][k] = _entry(n - 1 - 2 * k, alpha, 1)
     for k in range(1, n):
@@ -348,18 +348,19 @@ def family_pencil(n: int, model: ModelId,
 def _sample_operand(n: int, model: ModelId, frame: str):
     """``family_pencil`` read once for sampling, for all six sample kinds:
     A's rows, and the positions where B is nonzero grouped by their (A, B)
-    entry pair (equal entries are equal values; the mirror k <-> n-k of the
-    weights k(n-k) pairs most of them).  Each group holds its positions,
-    A's terms keyed by radicand, {m: (m, re, im, den)}, and B's terms."""
+    pair of term tuples (equal tuples are equal values; the mirror
+    k <-> n-k of the weights k(n-k) pairs most of them).  Each group holds
+    its positions, A's terms keyed by radicand, {m: (m, re, im, den)}, and
+    B's terms."""
     a, b = family_pencil(n, model, frame)
     groups = {}
     for i, row in enumerate(b.rows()):
         for j, e in enumerate(row):
             if e:
-                groups.setdefault((a[i, j], e), []).append((i, j))
-    return a.rows(), tuple(
-        (tuple(where), {t[0]: t for t in x.integer_terms()}, y.integer_terms())
-        for (x, y), where in groups.items())
+                groups.setdefault((a[i, j]._terms, e._terms),
+                                  []).append((i, j))
+    return a.rows(), tuple((tuple(where), {t[0]: t for t in x}, y)
+                           for (x, y), where in groups.items())
 
 
 def _sample(n: int, model: ModelId, frame: str, param) -> ExactMatrix:

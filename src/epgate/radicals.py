@@ -291,7 +291,7 @@ class RadicalSum:
         if isinstance(x, RadicalSum):
             return x
         g = _as_gaussian(x)
-        return cls._raw(((1, g._re, g._im, g._den),) if g else ())
+        return cls._raw(((1, g._re, g._im, g._den),)) if g else ZERO
 
     @classmethod
     def gaussian(cls, re, im) -> "RadicalSum":
@@ -417,14 +417,7 @@ class RadicalSum:
     def __truediv__(self, other) -> "RadicalSum":
         """Exact division by a rational or Gaussian-rational scalar."""
         if isinstance(other, (int, Fraction, GaussianRational)):
-            g = _as_gaussian(other)
-            if not g:
-                raise DivisionByZero("exact division by zero")
-            inv = g.reciprocal()
-            c, e, f = inv._re, inv._im, inv._den
-            return RadicalSum._raw(tuple([
-                _term(m, re * c - im * e, re * e + im * c, den * f)
-                for m, re, im, den in self._terms]))
+            return self * invert_monomial(RadicalSum.of(other))
         return NotImplemented
 
     def __complex__(self) -> complex:

@@ -23,7 +23,7 @@ from itertools import islice
 
 from .matrices import ExactMatrix, ExactPolynomial
 from .models import ModelId
-from .radicals import GaussianRational, RadicalSum
+from .radicals import ZERO, GaussianRational, RadicalSum
 from .scenarios import PathSample
 from .spectra import ConditionEntry, SpectrumReport
 from .verify import CheckId, VerificationReport
@@ -228,8 +228,8 @@ def parse_scalar_text(text: str) -> RadicalSum:
     """Inverse of the canonical scalar rendering."""
     text = text.strip()
     if text == "0":
-        return RadicalSum()
-    total = RadicalSum()
+        return ZERO
+    total = ZERO
     for part in text.split(" + "):
         total = total + _parse_term(part)
     return total

@@ -64,9 +64,7 @@ from sys import float_info
 from . import models
 from .matrices import ExactMatrix, ExactPolynomial, StructureError
 from .models import DomainError, ModelId
-from .radicals import RadicalSum, radicand_product
-
-_ZERO = RadicalSum()
+from .radicals import ZERO, RadicalSum, radicand_product
 
 
 class ConvergenceError(RuntimeError):
@@ -146,7 +144,7 @@ def _tridiagonal_char_poly(h: ExactMatrix
     rows = h.rows()
     n = len(rows)
     off_band = ExactMatrix._raw(tuple(
-        tuple(_ZERO if abs(i - j) <= 1 else e for j, e in enumerate(row))
+        tuple(ZERO if abs(i - j) <= 1 else e for j, e in enumerate(row))
         for i, row in enumerate(rows)))
     return _recurrence(
         [rows[k][k].integer_terms() for k in range(n)],
@@ -273,7 +271,7 @@ def ladder_poly(n: int, d: Fraction) -> ExactPolynomial:
     """prod_k (E^2 - (n-1-2k)^2 d) over k < n // 2, times E for odd n:
     coefficient n - 2j is e_j * (-d)^j, canonical with one gcd(e_j, den^j)
     since num^j/den^j, with -d = num/den, is in lowest terms already."""
-    out = [_ZERO] * (n + 1)
+    out = [ZERO] * (n + 1)
     num, den = -d.numerator, d.denominator
     num_j, den_j = 1, 1
     for j, e in enumerate(_ladder_sums(n)):

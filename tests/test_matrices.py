@@ -319,6 +319,16 @@ def test_inverse_upper_triangular_multiply_back():
         assert r_inv @ r == ExactMatrix.identity(n)
 
 
+def test_inverse_upper_triangular_of_a_scaled_core_multiplies_back():
+    # a non-unit monomial diagonal, (1 + i)^k / 2^k, under radical entries
+    for n in range(2, 9):
+        pre, _ = models.intertwiner_factors(n)
+        r = pre @ models.intertwiner_core(n)
+        r_inv = r.inverse_upper_triangular()
+        assert r @ r_inv == ExactMatrix.identity(n), n
+        assert r_inv @ r == ExactMatrix.identity(n), n
+
+
 def test_inverse_upper_triangular_structure_errors():
     with pytest.raises(StructureError):
         ExactMatrix([[1, 0], [1, 1]]).inverse_upper_triangular()

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import epgate
-from epgate import matrices, models, scenarios, spectra, verify
+from epgate import matrices, models, radicals, scenarios, spectra, verify
 from epgate.matrices import ExactMatrix, ExactPolynomial
 from epgate.models import (
     DimensionError,
@@ -206,6 +206,34 @@ def test_jordan_block():
     assert j3_eta == ExactMatrix([[2, 1, 0], [0, 2, 1], [0, 0, 2]])
     gauss = models.jordan_block(2, GaussianRational(1, -1))
     assert gauss[0, 0] == RadicalSum.gaussian(1, -1)
+
+
+# every zero a constructor writes is the one shared zero of ``radicals``
+_SHARED_ZERO_CONSTRUCTORS = {
+    "transition": lambda n: [models.transition(n, m) for m in ModelId],
+    "transition_inverse":
+        lambda n: [models.transition_inverse(n, m) for m in ModelId],
+    "intertwiner": lambda n: [models.intertwiner(n)],
+    "family_pencil": lambda n: [
+        x for m in ModelId for frame in ("identity", "transition",
+                                         "intertwiner")
+        for x in models.family_pencil(n, m, frame)],
+    "jordan_block": lambda n: [models.jordan_block(n, 0)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SHARED_ZERO_CONSTRUCTORS))
+def test_zero_entries_are_the_shared_zero(name):
+    zeros = [e for n in range(2, 8)
+             for matrix in _SHARED_ZERO_CONSTRUCTORS[name](n)
+             for row in matrix.rows() for e in row if not e]
+    assert zeros and all(e is radicals.ZERO for e in zeros)
+
+
+def test_zero_scalar_is_the_shared_zero():
+    assert RadicalSum.of(0) is radicals.ZERO
+    assert RadicalSum.of(Fraction(0)) is radicals.ZERO
+    assert RadicalSum.of(GaussianRational(0)) is radicals.ZERO
 
 
 def test_pascal_matrix_golden():

@@ -197,6 +197,8 @@ def test_scaling():
     assert RadicalSum({5: GaussianRational(3, 6)}) / 3 == \
         RadicalSum({5: GaussianRational(1, 2)})
     assert SQRT2 * Fraction(3, 4) == RadicalSum({2: Fraction(3, 4)})
+    assert SQRT2 / GaussianRational(0, 2) == \
+        RadicalSum({2: GaussianRational(0, Fraction(-1, 2))})
     with pytest.raises(DivisionByZero):
         SQRT2 / 0
 

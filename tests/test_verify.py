@@ -238,9 +238,10 @@ _FAULT_CONSTRUCTORS = ("transition", "transition_inverse", "intertwiner",
                        "intertwiner_inverse")
 
 
-def _constructors_read_per_report(n: int) -> dict:
+def _constructors_read_per_report(n: int,
+                                  names=_FAULT_CONSTRUCTORS) -> dict:
     """(check, parameters) of each report of ``run_suite([n])`` -> the
-    names in ``_FAULT_CONSTRUCTORS`` that its check called."""
+    ``models`` constructors in ``names`` that its check called."""
     reads, current = {}, []
 
     def spy(fn, name):
@@ -258,7 +259,7 @@ def _constructors_read_per_report(n: int) -> dict:
         return wrapper
 
     with pytest.MonkeyPatch.context() as mp, fresh_model_caches():
-        for name in _FAULT_CONSTRUCTORS:
+        for name in names:
             mp.setattr(models, name, spy(getattr(models, name), name))
         for name in [k for k in vars(verify) if k.startswith("check_")]:
             mp.setattr(verify, name, check_spy(getattr(verify, name)))
@@ -284,6 +285,61 @@ def test_every_report_reading_a_transition_constructor_catches_its_fault(n):
         "intertwiner_inverse": {"intertwiner-factorization"},
     }
     for name in _FAULT_CONSTRUCTORS:
+        readers = {key for key, names in reads.items() if name in names}
+        caught = set()
+        for where in ("corner", "diag", (1, 0), (1, 2)):
+            with pytest.MonkeyPatch.context() as mp, fresh_model_caches():
+                mp.setattr(models, name, perturb_constructor(
+                    getattr(models, name), where=where))
+                reports = run_suite([n])
+            failed = {(r.check, r.parameters): r for r in reports
+                      if not r.passed}
+            assert set(failed) <= readers, (name, where)
+            for report in failed.values():
+                _assert_detected(report)
+            caught |= set(failed)
+        assert caught == readers, (name, readers - caught)
+
+
+# The same fault model for the other matrix constructors a check reads:
+# the Hamiltonians, the EP member, the Jordan block, the intertwiner's core
+# and the four transformed families.  ep_hamiltonian builds its matrix
+# through bh_hamiltonian or ao_hamiltonian, so each of those two is read
+# wherever the EP member is.
+
+_MODEL_FAULT_CONSTRUCTORS = (
+    "bh_hamiltonian", "ao_hamiltonian", "ep_hamiltonian", "jordan_block",
+    "intertwiner_core", "bh_in_jordan_basis", "ao_in_jordan_basis",
+    "bh_in_ao_frame", "ao_in_bh_frame")
+
+_READ_BY_SAMPLES = {"charpoly-similarity", "scenario-matching"}
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_every_report_reading_a_model_constructor_catches_its_fault(n):
+    reads = _constructors_read_per_report(n, _MODEL_FAULT_CONSTRUCTORS)
+    assert {name: {check.value for (check, _), names in reads.items()
+                   if name in names}
+            for name in _MODEL_FAULT_CONSTRUCTORS} == {
+        "bh_hamiltonian": {"ep-schrodinger-bh", "jordanization-bh",
+                           "intertwine", "scenario-matching",
+                           "charpoly-similarity", "ep-total-degeneracy"},
+        "ao_hamiltonian": {"ep-schrodinger-ao", "jordanization-ao",
+                           "intertwine", "scenario-matching",
+                           "charpoly-similarity", "ep-total-degeneracy"},
+        "ep_hamiltonian": {"ep-schrodinger-bh", "ep-schrodinger-ao",
+                           "jordanization-bh", "jordanization-ao",
+                           "charpoly-similarity", "ep-total-degeneracy"},
+        "jordan_block": {"ep-schrodinger-bh", "ep-schrodinger-ao",
+                         "jordanization-bh", "jordanization-ao",
+                         "scenario-matching"},
+        "intertwiner_core": {"intertwiner-factorization"},
+        "bh_in_jordan_basis": _READ_BY_SAMPLES,
+        "ao_in_jordan_basis": _READ_BY_SAMPLES,
+        "bh_in_ao_frame": _READ_BY_SAMPLES,
+        "ao_in_bh_frame": _READ_BY_SAMPLES,
+    }
+    for name in _MODEL_FAULT_CONSTRUCTORS:
         readers = {key for key, names in reads.items() if name in names}
         caught = set()
         for where in ("corner", "diag", (1, 0), (1, 2)):
