@@ -40,8 +40,8 @@ from enum import Enum
 from math import comb, factorial, gcd
 
 from .matrices import ExactMatrix
-from .radicals import (ONE, ZERO, GaussianRational, RadicalSum,
-                       radicand_product, squarefree_decompose)
+from .radicals import (ONE, ZERO, RadicalSum, radicand_product,
+                       squarefree_decompose)
 
 
 class DimensionError(ValueError):
@@ -87,7 +87,8 @@ def damping(n: int, lam) -> Fraction:
     if k == 0:
         return lam
     p, q = lam.numerator, lam.denominator
-    num = k * p ** k if p == q else p * (q ** k - p ** k) // (q - p)
+    # p == q only at lambda = 1, where each of the k powers is 1
+    num = k if p == q else p * (q ** k - p ** k) // (q - p)
     return Fraction(num, q ** k)
 
 
@@ -117,10 +118,12 @@ def checked_parameter(n: int, model: ModelId, param) -> Fraction:
 
 
 def jacobi_data(n: int, model: ModelId,
-                p: Fraction) -> tuple[list[GaussianRational], list[Fraction]]:
+                p: Fraction) -> tuple[list[RadicalSum], list[Fraction]]:
     """The tridiagonal data of a model Hamiltonian at the checked value p of
-    ``checked_parameter``: the diagonal d_k, k = 0..n-1, and the products
-    b_k = H[k-1][k] * H[k][k-1] of paired couplings, k = 1..n-1.
+    ``checked_parameter``: the diagonal d_k, k = 0..n-1, as canonical
+    radical sums (each one term over radicand 1, written by ``_entry``), and
+    the products b_k = H[k-1][k] * H[k][k-1] of paired couplings,
+    k = 1..n-1, as Fractions.
 
     BH: d_k = i*(2k - n + 1)*z and b_k = k*(n-k).  AO: d_k = 2k - n + 1 and
     b_k = -k*(n-k)*(1 - damping), polynomials in p, so the ladder proof
@@ -130,10 +133,11 @@ def jacobi_data(n: int, model: ModelId,
     (``family_pencil``).
     """
     if model is ModelId.BH:
-        return ([GaussianRational(0, (2 * k - n + 1) * p) for k in range(n)],
+        return ([_entry((2 * k - n + 1) * p.numerator, (0, 1), p.denominator)
+                 for k in range(n)],
                 [Fraction(k * (n - k)) for k in range(1, n)])
     scale = 1 - p
-    return ([GaussianRational(2 * k - n + 1) for k in range(n)],
+    return ([_entry(2 * k - n + 1, (1, 0), 1) for k in range(n)],
             [-k * (n - k) * scale for k in range(1, n)])
 
 

@@ -6,9 +6,10 @@ squarefree (m = 1 holds the rational part), no zero term, and each triple
 in lowest terms with den > 0.  The form is canonical, so value equality is
 tuple equality and every identity downstream is checked with zero
 tolerance.  The product kernel (``matrices``) and the samplers (``models``,
-``spectra``) read and write the tuple as it is, with no per-term object;
-``GaussianRational``, one lowest-terms triple of its own, is the public
-coefficient type, built on demand by ``RadicalSum.items``.
+``spectra``) read and write the tuple as it is, with no per-term object.
+``RadicalSum`` is the one number type with arithmetic: ``GaussianRational``
+is a plain value, one lowest-terms triple, that the constructors and ``/``
+accept as a coefficient and ``RadicalSum.items`` returns.
 
 All values are immutable and every operation is a pure function; instances may
 be shared freely across threads.
@@ -117,7 +118,9 @@ def radicand_product(m1: int, m2: int) -> tuple[int, int]:
 class GaussianRational:
     """Exact complex rational (re + im*i)/den held as three integers in
     lowest terms: den > 0 and gcd(re, im, den) == 1, so equal values are
-    equal triples.  ``re`` and ``im`` read the parts as reduced fractions."""
+    equal triples.  ``re`` and ``im`` read the parts as reduced fractions.
+    A plain coefficient value with no arithmetic: compute in ``RadicalSum``
+    (``RadicalSum.of(g)``)."""
 
     __slots__ = ("_re", "_im", "_den")
 
@@ -135,14 +138,6 @@ class GaussianRational:
         # internal fast path: caller guarantees a canonical triple
         out = object.__new__(GaussianRational)
         out._re, out._im, out._den = re, im, den
-        return out
-
-    @staticmethod
-    def _make(re: int, im: int, den: int) -> "GaussianRational":
-        """(re + im*i)/den in lowest terms, for a positive den."""
-        g = gcd(re, im, den)
-        out = object.__new__(GaussianRational)
-        out._re, out._im, out._den = re // g, im // g, den // g
         return out
 
     re = property(lambda self: Fraction(self._re, self._den))
@@ -165,61 +160,16 @@ class GaussianRational:
             return hash(Fraction(self._re, self._den))
         return hash((self._re, self._im, self._den))
 
-    def __add__(self, other) -> "GaussianRational":
-        other = _as_gaussian(other)
-        a, b, d = self._re, self._im, self._den
-        c, e, f = other._re, other._im, other._den
-        if d == f:
-            return GaussianRational._make(a + c, b + e, d)
-        return GaussianRational._make(a * f + c * d, b * f + e * d, d * f)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "GaussianRational":
-        return self + -_as_gaussian(other)
-
-    def __rsub__(self, other) -> "GaussianRational":
-        return _as_gaussian(other) + -self
-
-    def __neg__(self) -> "GaussianRational":
-        return GaussianRational._raw(-self._re, -self._im, self._den)
-
-    def __mul__(self, other) -> "GaussianRational":
-        if isinstance(other, GaussianRational):
-            a, b, c, e = self._re, self._im, other._re, other._im
-            return GaussianRational._make(a * c - b * e, a * e + b * c,
-                                          self._den * other._den)
-        if isinstance(other, (int, Fraction)):
-            p = other.numerator
-            return GaussianRational._make(self._re * p, self._im * p,
-                                          self._den * other.denominator)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def reciprocal(self) -> "GaussianRational":
-        a, b, d = self._re, self._im, self._den
-        if not (a or b):
-            raise DivisionByZero("reciprocal of exact zero")
-        return GaussianRational._make(a * d, -b * d, a * a + b * b)
-
-    def __complex__(self) -> complex:
-        # int true division is correctly rounded, as float(Fraction) is
-        return complex(self._re / self._den, self._im / self._den)
-
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
 
-def _as_gaussian(x) -> GaussianRational:
+def _as_coefficient(x) -> GaussianRational:
     if isinstance(x, GaussianRational):
         return x
     if isinstance(x, (int, Fraction)):
         return GaussianRational(x)
     raise TypeError(f"cannot interpret {type(x).__name__} as a Gaussian rational")
-
-
-_GAUSS_ZERO = GaussianRational(0)
 
 
 def _term(m: int, re: int, im: int, den: int) -> tuple[int, int, int, int]:
@@ -270,7 +220,7 @@ class RadicalSum:
         acc: dict[int, list[int]] = {}
         if terms:
             for m, c in dict(terms).items():
-                c = _as_gaussian(c)
+                c = _as_coefficient(c)
                 if c:
                     s, f = squarefree_decompose(m)
                     _add_into(acc, s, c._re * f, c._im * f, c._den)
@@ -290,7 +240,7 @@ class RadicalSum:
         """Coerce an int, Fraction, GaussianRational, or RadicalSum."""
         if isinstance(x, RadicalSum):
             return x
-        g = _as_gaussian(x)
+        g = _as_coefficient(x)
         return cls._raw(((1, g._re, g._im, g._den),)) if g else ZERO
 
     @classmethod
@@ -333,15 +283,6 @@ class RadicalSum:
         """Canonical value of sums {m: [re, im, den]} read as the sum of
         (re + im*i)/den * sqrt(m); keys must be squarefree, den positive."""
         return cls._raw(_canonical(sums))
-
-    def as_gaussian(self) -> GaussianRational:
-        """The value as a Gaussian rational; ValueError if radicals remain."""
-        t = self._terms
-        if not t:
-            return _GAUSS_ZERO
-        if len(t) > 1 or t[0][0] != 1:
-            raise ValueError(f"{self} has irrational terms")
-        return GaussianRational._raw(*t[0][1:])
 
     def __eq__(self, other) -> bool:
         if isinstance(other, RadicalSum):
@@ -421,6 +362,11 @@ class RadicalSum:
         return NotImplemented
 
     def __complex__(self) -> complex:
+        # int true division is correctly rounded; a rational value is read
+        # as it is, so a part that underflows to zero keeps its sign
+        if len(self._terms) == 1 and self._terms[0][0] == 1:
+            ((_, re, im, den),) = self._terms
+            return complex(re / den, im / den)
         return sum((complex(re / den, im / den) * sqrt(m)
                     for m, re, im, den in self._terms), complex(0))
 

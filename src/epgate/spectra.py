@@ -14,8 +14,8 @@ term is a Gaussian integer, on integer coefficient lists per radicand, with
 one division per coefficient at the end.  It has two readers:
 
 * ``char_poly_tridiagonal`` reads d_k and b_k of a model Hamiltonian from
-  its checked parameter (``models.jacobi_data``): Gaussian rationals, so
-  every radicand is 1 and neither a matrix nor a radical is built.
+  its checked parameter (``models.jacobi_data``): d_k one term over
+  radicand 1 and b_k a Fraction, so neither a matrix nor a radical is built.
 * ``_tridiagonal_char_poly`` reads them from a matrix's own band, for the
   checks that must see what was built -- a similarity-transformed family or
   a constructed EP matrix -- and returns the part off the band beside the

@@ -28,13 +28,20 @@ def G(re, im=0) -> RadicalSum:
     return RadicalSum.gaussian(Fraction(re), Fraction(im))
 
 
-def gaussian_power(g: GaussianRational, k: int) -> GaussianRational:
-    """g^k by repeated multiplication, by g^-1 for k < 0."""
-    base = g if k >= 0 else g.reciprocal()
-    out = GaussianRational(1)
+def power(x: RadicalSum, k: int) -> RadicalSum:
+    """x^k by repeated multiplication, by x^-1 for k < 0 (x a monomial)."""
+    base = x if k >= 0 else invert_monomial(x)
+    out = RadicalSum.of(1)
     for _ in range(abs(k)):
         out = out * base
     return out
+
+
+def real_rational(x: RadicalSum) -> Fraction:
+    """x as a Fraction; fails unless x is exactly a real rational."""
+    terms = x.integer_terms()
+    assert all(m == 1 and im == 0 for m, _, im, _ in terms), x
+    return Fraction(terms[0][1], terms[0][3]) if terms else Fraction(0)
 
 
 def M(rows) -> ExactMatrix:
@@ -203,41 +210,11 @@ def naive_matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
          zip(*b.rows())] for row in a.rows()])
 
 
-class FractionPair:
-    """Reference Gaussian rational: a + b*i as two reduced Fractions, with
-    the schoolbook field operations (the scalar's earlier storage form)."""
-
-    def __init__(self, re=0, im=0):
-        self.re, self.im = Fraction(re), Fraction(im)
-
-    def __add__(self, other):
-        return FractionPair(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other):
-        return FractionPair(self.re - other.re, self.im - other.im)
-
-    def __neg__(self):
-        return FractionPair(-self.re, -self.im)
-
-    def __mul__(self, other):
-        return FractionPair(self.re * other.re - self.im * other.im,
-                            self.re * other.im + self.im * other.re)
-
-    def reciprocal(self):
-        norm = self.re * self.re + self.im * self.im
-        return FractionPair(self.re / norm, -self.im / norm)
-
-
 def assert_canonical(value):
-    """A RadicalSum (or GaussianRational) in canonical form.  A RadicalSum's
-    terms are one tuple of integer quadruples (m, re, im, den): strictly
-    ascending in m, each m squarefree, no zero term, and each triple
-    (re, im, den) with den > 0 and gcd(re, im, den) == 1."""
-    if not isinstance(value, RadicalSum):
-        triple = (value._re, value._im, value._den)
-        assert all(type(x) is int for x in triple), triple
-        assert value._den > 0 and math.gcd(*triple) == 1, triple
-        return
+    """A RadicalSum in canonical form: its terms are one tuple of integer
+    quadruples (m, re, im, den), strictly ascending in m, each m squarefree,
+    no zero term, and each triple (re, im, den) with den > 0 and
+    gcd(re, im, den) == 1."""
     terms = value.integer_terms()
     assert type(terms) is tuple, terms
     radicands = [t[0] for t in terms]
@@ -365,14 +342,17 @@ def model_cache_infos() -> dict:
 
 def gaussian_tridiagonal_char_poly(h: ExactMatrix) -> ExactPolynomial:
     """Reference three-term recurrence p_k = (E - d_k) p_(k-1) - b_k p_(k-2)
-    run directly on Gaussian-rational coefficient lists."""
+    run directly in RadicalSum arithmetic on coefficient lists, for a band
+    whose d_k and b_k are Gaussian rationals (radicand 1 only)."""
     n = h.n_rows
-    d = [h[k, k].as_gaussian() for k in range(n)]
-    b = [(h[k - 1, k] * h[k, k - 1]).as_gaussian() for k in range(1, n)]
-    prev2 = [GaussianRational(1)]
-    prev1 = [-d[0], GaussianRational(1)]
+    d = [h[k, k] for k in range(n)]
+    b = [h[k - 1, k] * h[k, k - 1] for k in range(1, n)]
+    assert all(m == 1 for x in d + b for m, *_ in x.integer_terms()), h
+    one = RadicalSum.of(1)
+    prev2 = [one]
+    prev1 = [-d[0], one]
     for k in range(1, n):
-        nxt = [GaussianRational(0)] + prev1
+        nxt = [RadicalSum()] + prev1
         for i, c in enumerate(prev1):
             nxt[i] = nxt[i] - d[k] * c
         for i, c in enumerate(prev2):

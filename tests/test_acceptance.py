@@ -44,6 +44,7 @@ from helpers import (
     perturb_constructor,
     random_matrix,
     random_radical,
+    real_rational,
 )
 
 
@@ -127,8 +128,7 @@ def test_criterion_07_off_ep_spectral_reality():
                 for p in params:
                     exact = char_poly_tridiagonal(n, model, p)
                     for c in exact.coefficients:
-                        g = c.as_gaussian()  # exact: no radical part
-                        assert g.im == 0     # exact: real rational
+                        real_rational(c)  # exact: real rational, no radical
                     mirror = FloatPolynomial.from_exact(exact)
                     scale = 1 + max(abs(c) for c in mirror.coefficients)
                     roots = find_roots(mirror, tol=1e-10)

@@ -27,6 +27,7 @@ from helpers import (
     radical_sums,
     random_matrix,
     random_radical,
+    real_rational,
     transpose,
     with_entry,
     zeros,
@@ -354,8 +355,7 @@ def test_inverse_rational_multiply_back():
         # binomial matrices have integer inverses (determinant is a unit)
         for row in p_inv.rows():
             for e in row:
-                g = e.as_gaussian()
-                assert g.im == 0 and g.re.denominator == 1
+                assert real_rational(e).denominator == 1
 
 
 def test_inverse_rational_errors():

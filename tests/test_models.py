@@ -28,10 +28,11 @@ from helpers import (
     assert_canonical,
     dense_pencil,
     factored_inverse,
-    gaussian_power,
     is_zero,
     jacobi_tridiagonal,
     pascal_inverse,
+    power,
+    real_rational,
     transpose,
     with_entry,
 )
@@ -62,7 +63,9 @@ def test_bh_hamiltonian_is_complex_symmetric():
         h = models.bh_hamiltonian(n, z)
         assert h == transpose(h)
         for k in range(n):
-            assert h[k, k].as_gaussian().re == 0  # purely imaginary diagonal
+            # purely imaginary diagonal
+            assert all(m == 1 and re == 0
+                       for m, re, _, _ in h[k, k].integer_terms())
 
 
 def test_ao_hamiltonian_golden():
@@ -330,26 +333,26 @@ def test_closed_forms_equal_their_factor_routes():
     # diagonal products they stand for are the oracles.  Entries are
     # canonical term tuples, so == compares them term for term.
     for n in range(2, 41):
-        for model, omega in ((ModelId.BH, GaussianRational(0, 1)),
-                             (ModelId.AO, GaussianRational(1))):
+        for model, omega in ((ModelId.BH, RadicalSum.gaussian(0, 1)),
+                             (ModelId.AO, RadicalSum.of(1))):
             pre, post = models.transition_factors(n, model)
             assert pre == ExactMatrix.diagonal(
                 RadicalSum.sqrt_int(math.comb(n - 1, k))
-                * gaussian_power(omega, k)
+                * power(omega, k)
                 for k in range(n))
             assert post == ExactMatrix.diagonal(
-                gaussian_power(-omega, n - 1 - k) * math.factorial(n - 1 - k)
+                power(-omega, n - 1 - k) * math.factorial(n - 1 - k)
                 for k in range(n))
             assert models.transition(n, model) == \
                 pre @ models.pascal_matrix(n) @ post, (n, model)
             assert models.transition_inverse(n, model) == \
                 factored_inverse(pre, pascal_inverse(n), post), (n, model)
         pre, post = models.intertwiner_factors(n)
-        beta = GaussianRational(-1, 1)
+        beta = RadicalSum.gaussian(-1, 1)
         assert pre == ExactMatrix.diagonal(
-            RadicalSum.of(gaussian_power(-beta, -k)) for k in range(n))
+            power(-beta, -k) for k in range(n))
         assert post == ExactMatrix.diagonal(
-            RadicalSum.of(gaussian_power(beta, k)) for k in range(n))
+            power(beta, k) for k in range(n))
         s = models.intertwiner(n)
         assert s == pre @ models.intertwiner_core(n) @ post, n
         assert models.intertwiner_inverse(n) == s, n
@@ -390,7 +393,7 @@ def test_pencil_table_is_the_dense_similarity(model, frame):
             dense_pencil(n, model, frame), n
 
 
-_I = GaussianRational(0, 1)
+_I = RadicalSum.gaussian(0, 1)
 # the transition matrices and the intertwiner at N = 2: 2x2 Gaussian-integer
 # matrices g, each with det +-1, whose symmetric powers they are at every N
 _G = {ModelId.BH: ((-_I, 1), (1, 0)), ModelId.AO: ((-1, 1), (-1, 0)),
@@ -411,7 +414,7 @@ def _inv2(g):
 
 def _sl2(row):
     """[[alpha, beta], [gamma, -alpha]] of a table row (alpha, beta, gamma)."""
-    a, b, c = (GaussianRational(*z) for z in row)
+    a, b, c = (RadicalSum.gaussian(*z) for z in row)
     return ((a, b), (c, -a))
 
 
@@ -714,8 +717,7 @@ def test_char_poly_coefficients_are_real_rational():
         lam = Fraction(rng.randint(0, 3), 8)
         for h in (models.bh_hamiltonian(n, z), models.ao_hamiltonian(n, lam)):
             for c in h.char_poly().coefficients:
-                g = c.as_gaussian()  # raises if a radical survived
-                assert g.im == 0
+                real_rational(c)  # fails if a radical or an i survived
 
 
 def test_full_degeneracy_at_the_ep():

@@ -516,24 +516,55 @@ def test_fault_injection_hamiltonian_pencil(monkeypatch, model):
     _assert_detected(check_jordanization(4, model))
 
 
-@pytest.mark.parametrize("model", list(ModelId), ids=lambda m: m.value)
-def test_fault_injection_jacobi_data(monkeypatch, model):
+def _assert_jacobi_fault_detected(monkeypatch, model, fault):
     # jacobi_data is the parameter side of the exact spectra, built apart
-    # from the Hamiltonians' pencils: a wrong coupling product fails the
-    # polynomial pair of charpoly-similarity and the ladder proof
+    # from the Hamiltonians' pencils: fault(d, b) fails the polynomial pair
+    # of charpoly-similarity and the ladder proof
     original = models.jacobi_data
-
-    def perturbed(n, model, param):
-        d, b = original(n, model, param)
-        return d, [2 * b[0]] + b[1:]
-
-    monkeypatch.setattr(models, "jacobi_data", perturbed)
+    monkeypatch.setattr(models, "jacobi_data",
+                        lambda n, m, p: fault(*original(n, m, p)))
     param = Fraction(1, 2) if model is ModelId.BH else Fraction(1, 8)
     for n in (3, 4, 6):
         for frame in ("transition", "intertwiner"):
             _assert_detected(check_charpoly_similarity(n, model, param, frame))
         with pytest.raises(StructureError):
             spectra.certified_spectrum(n, model, param)
+
+
+@pytest.mark.parametrize("model", list(ModelId), ids=lambda m: m.value)
+def test_fault_injection_jacobi_data(monkeypatch, model):
+    # a wrong coupling product
+    _assert_jacobi_fault_detected(monkeypatch, model,
+                                  lambda d, b: (d, [2 * b[0]] + b[1:]))
+
+
+@pytest.mark.parametrize("model", list(ModelId), ids=lambda m: m.value)
+def test_fault_injection_jacobi_diagonal(monkeypatch, model):
+    # the diagonal, canonical radical sums, shifted by one at d_0
+    def fault(d, b):
+        assert all(type(x) is RadicalSum for x in d)
+        return [d[0] + 1] + d[1:], b
+
+    _assert_jacobi_fault_detected(monkeypatch, model, fault)
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+@pytest.mark.parametrize("factor", [0, 1], ids=["pre", "post"])
+def test_fault_injection_intertwiner_factors(monkeypatch, factor, n):
+    # one diagonal entry of pre or post shifted by one: the one check that
+    # reads the factors fails with a nonzero residual, and no check raises
+    original = models.intertwiner_factors
+
+    def perturbed(size):
+        factors = list(original(size))
+        factors[factor] = with_entry(factors[factor], 1, 1,
+                                     factors[factor][1, 1] + 1)
+        return tuple(factors)
+
+    monkeypatch.setattr(models, "intertwiner_factors", perturbed)
+    failed = [r for r in run_suite([n]) if not r.passed]
+    assert [r.check for r in failed] == [CheckId.INTERTWINER_FACTORIZATION]
+    _assert_detected(failed[0])
 
 
 def test_fault_injection_ep_degeneracy(monkeypatch):
